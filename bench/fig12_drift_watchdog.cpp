@@ -27,13 +27,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hh"
 #include "axbench/drift.hh"
 #include "axbench/registry.hh"
 #include "common/logging.hh"
 #include "core/report.hh"
+#include "core/shard.hh"
 #include "core/table_classifier.hh"
 #include "core/watchdog/watchdog.hh"
 #include "sim/fault_injection.hh"
@@ -186,13 +190,69 @@ struct DrillResult
 };
 
 /**
+ * The trained tables' own decisions, even when the compiler refused
+ * to deploy them (small-scale runs fail closed): the drills put the
+ * watchdog, not the deploy verdict, under test.
+ */
+class TableDecisions final : public core::Classifier
+{
+  public:
+    explicit TableDecisions(core::TableClassifier &inner) : table(inner) {}
+
+    std::string kind() const override { return table.kind(); }
+    void beginDataset(const axbench::InvocationTrace &trace) override
+    {
+        table.beginDataset(trace);
+    }
+    bool decidePrecise(const Vec &input, std::size_t index) override
+    {
+        return table.decidePrecise(input, index);
+    }
+    void decideBatch(const float *inputs, std::size_t width,
+                     std::size_t count, std::size_t beginIndex,
+                     std::uint8_t *out) override
+    {
+        table.decideBatch(inputs, width, count, beginIndex, out);
+    }
+    sim::ClassifierCost cost() const override { return table.cost(); }
+    std::size_t configSizeBytes() const override
+    {
+        return table.configSizeBytes();
+    }
+
+  private:
+    core::TableClassifier &table;
+};
+
+/**
+ * Decide one stream through the drill's watchdog on a one-shard plan;
+ * scheduled audits are served from the trace's cached true errors.
+ * Returns the index within `trace` of the stream's first trip.
+ */
+std::size_t
+feedStream(std::vector<Watchdog> &dog, core::TableClassifier &table,
+           const axbench::InvocationTrace &trace)
+{
+    TableDecisions classifier(table);
+    classifier.beginDataset(trace);
+    std::vector<std::uint8_t> decisions(trace.count());
+    std::vector<core::ShardTally> tallies;
+    core::runShardedDecisions(classifier, trace,
+                              core::ShardPlan(trace.count(), 1), dog,
+                              core::DecisionLoopOptions{},
+                              decisions.data(), tallies);
+    return tallies.front().firstTripAt;
+}
+
+/**
  * Run one drill: feed `warmup` clean streams through a pristine
  * classifier copy, then `changed` streams (optionally through a
  * different — corrupted — classifier, modeling a fault that strikes
  * at the onset); record when the watchdog first reaches DEGRADED
  * after the change. The changed streams cycle — deployment does not
  * stop producing inputs — until the watchdog trips or the stream has
- * covered `minChangedInvocations` (at least one full pass).
+ * covered `minChangedInvocations` (at least one full pass). The
+ * drill's single watchdog runs at the unsplit confidence and seed.
  */
 DrillResult
 runDrill(const core::TableClassifier &pristine, double threshold,
@@ -203,12 +263,12 @@ runDrill(const core::TableClassifier &pristine, double threshold,
          const core::TableClassifier *changedClassifier = nullptr)
 {
     core::TableClassifier classifier = pristine;
-    Watchdog dog(opts, threshold);
+    std::vector<Watchdog> dog{Watchdog(opts, threshold)};
 
     DrillResult result;
     for (const auto *trace : warmup)
-        core::watchdog::runStream(dog, classifier, *trace);
-    result.warmupTrips = dog.snapshot().trips;
+        feedStream(dog, classifier, *trace);
+    result.warmupTrips = dog.front().snapshot().trips;
 
     core::TableClassifier onset =
         changedClassifier ? *changedClassifier : classifier;
@@ -217,19 +277,17 @@ runDrill(const core::TableClassifier &pristine, double threshold,
     while (firstPass || offset < minChangedInvocations) {
         firstPass = false;
         for (const auto *trace : changed) {
-            const auto stream =
-                core::watchdog::runStream(dog, onset, *trace);
-            if (result.detectLatency == noTrip
-                && stream.tripIndex != noTrip)
-                result.detectLatency = offset + stream.tripIndex;
-            offset += stream.invocations;
+            const std::size_t tripAt = feedStream(dog, onset, *trace);
+            if (result.detectLatency == noTrip && tripAt != noTrip)
+                result.detectLatency = offset + tripAt;
+            offset += trace->count();
             if (result.detectLatency != noTrip)
                 break;
         }
         if (result.detectLatency != noTrip || changed.empty())
             break;
     }
-    result.audits = dog.snapshot().audits;
+    result.audits = dog.front().snapshot().audits;
     return result;
 }
 

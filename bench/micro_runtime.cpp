@@ -2,7 +2,7 @@
  * @file
  * Throughput microbenchmark of the sharded, batch-first runtime
  * decision loop (core/shard.hh): how many routed decisions per second
- * the table classifier sustains through runShardedDecisions(), with
+ * the table classifier sustains through a DecisionEngine, with
  * and without per-shard watchdogs, and how much the deterministic
  * evidence merge costs relative to deciding.
  *
@@ -11,8 +11,9 @@
  *
  *   runtime.decisions_per_sec   routed decisions/sec, watchdog off
  *   runtime.shard_count         shards used (MITHRA_SHARDS or threads)
- *   runtime.merge_overhead_pct  slot-ordered tally fold + evidence
- *                               merge as a percentage of decision time
+ *   runtime.merge_overhead_pct  DecisionEngine::evidence() (the
+ *                               evidence merge) as a percentage of
+ *                               decision time
  *
  * Host performance only — modeled hardware latency lives in sim/.
  */
@@ -100,69 +101,46 @@ main()
     TableClassifier table = trainTable(trace, threshold);
 
     const std::size_t shardCount = defaultShardCount();
-    const ShardPlan plan(trace.count(), shardCount);
     DecisionLoopOptions loop;
     loop.oracleThreshold = threshold;
-
     std::vector<std::uint8_t> decisions(trace.count(), 0);
-    std::vector<ShardTally> tallies;
-    std::vector<watchdog::Watchdog> noDogs;
 
     // Watchdog-off pass: the headline routed-decision throughput.
+    DecisionEngine off(shardCount, watchdog::WatchdogOptions{}, loop);
     const std::size_t repsOff = 32;
     table.beginDataset(trace);
-    runShardedDecisions(table, trace, plan, noDogs, loop,
-                        decisions.data(), tallies); // warm-up
+    off.decide(table, trace, decisions.data()); // warm-up
+    std::size_t accelerated = 0;
     const auto beginOff = Clock::now();
     for (std::size_t rep = 0; rep < repsOff; ++rep) {
         table.beginDataset(trace);
-        runShardedDecisions(table, trace, plan, noDogs, loop,
-                            decisions.data(), tallies);
+        accelerated = off.decide(table, trace, decisions.data())
+                          .accelerated;
     }
     const double offSeconds = seconds(beginOff, Clock::now());
     const double offDecisions =
         static_cast<double>(repsOff) * static_cast<double>(trace.count());
     const double decisionsPerSec = offDecisions / offSeconds;
-
-    std::size_t accelerated = 0;
-    for (const ShardTally &tally : tallies)
-        accelerated += tally.accelerated;
     const double accelFraction = static_cast<double>(accelerated)
         / static_cast<double>(trace.count());
 
     // Watchdog-on pass: per-shard state machines and audits on the
     // same stream, with the slot-ordered merge timed separately.
     watchdog::WatchdogOptions wdOptions;
+    wdOptions.enabled = true;
     wdOptions.baseAuditRate = 0.02;
-    std::vector<watchdog::Watchdog> dogs;
-    for (std::size_t k = 0; k < shardCount; ++k) {
-        watchdog::WatchdogOptions perShard = wdOptions;
-        perShard.confidence =
-            stats::splitConfidence(wdOptions.confidence, shardCount);
-        perShard.seed = shardSeed(wdOptions.seed, k);
-        dogs.emplace_back(perShard, threshold);
-    }
+    DecisionEngine on(shardCount, wdOptions, loop);
 
     const std::size_t repsOn = 8;
     double mergeSeconds = 0.0;
     ShardedEvaluation evidence;
-    evidence.shardCount = shardCount;
-    evidence.shards.resize(shardCount);
     const auto beginOn = Clock::now();
     for (std::size_t rep = 0; rep < repsOn; ++rep) {
         table.beginDataset(trace);
-        runShardedDecisions(table, trace, plan, dogs, loop,
-                            decisions.data(), tallies);
+        on.decide(table, trace, decisions.data());
 
         const auto beginMerge = Clock::now();
-        for (std::size_t k = 0; k < shardCount; ++k) {
-            ShardReport &report = evidence.shards[k];
-            report.invocations += tallies[k].invocations;
-            report.accelerated += tallies[k].accelerated;
-            report.falsePositives += tallies[k].falsePositives;
-            report.falseNegatives += tallies[k].falseNegatives;
-        }
-        mergeShardEvidence(dogs, wdOptions.confidence, evidence);
+        evidence = on.evidence();
         mergeSeconds += seconds(beginMerge, Clock::now());
     }
     const double onSeconds = seconds(beginOn, Clock::now());

@@ -7,6 +7,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/scale.hh"
+#include "core/shard.hh"
 #include "sim/core_model.hh"
 #include "stats/clopper_pearson.hh"
 #include "telemetry/telemetry.hh"
@@ -238,11 +239,13 @@ CalibrationMeasurement
 calibrationMeasure(const CompiledWorkload &workload,
                    Classifier &classifier, const QualitySpec &spec)
 {
-    // Held-out datasets are measured concurrently. The classifiers
-    // calibrated here (table, neural) decide each invocation from the
-    // input alone — beginDataset is a no-op for them and decidePrecise
-    // holds no mutable state — so sharing one classifier across
-    // datasets is safe; per-dataset counters reduce in entry order.
+    // Held-out datasets are measured concurrently, each through the
+    // decision loop on a one-shard plan without a watchdog. The
+    // classifiers calibrated here (table, neural) decide each
+    // invocation from the input alone — beginDataset is a no-op for
+    // them and decideBatch holds no mutable state — so sharing one
+    // classifier across datasets is safe; per-dataset counters reduce
+    // in entry order.
     struct Tally
     {
         std::size_t successes = 0;
@@ -259,22 +262,15 @@ calibrationMeasure(const CompiledWorkload &workload,
             const auto &entry = workload.problem.entries[e];
             const auto &trace = *entry.trace;
             classifier.beginDataset(trace);
-            std::vector<std::uint8_t> decisions(trace.count(), 0);
+            std::vector<std::uint8_t> decisions(trace.count());
+            std::vector<watchdog::Watchdog> noDogs;
+            std::vector<ShardTally> shard;
+            runShardedDecisions(classifier, trace,
+                                ShardPlan(trace.count(), 1), noDogs,
+                                DecisionLoopOptions{}, decisions.data(),
+                                shard);
             Tally one;
-            if (classifier.approximationEnabled()) {
-                // One batch call over the trace's flat input buffer:
-                // the table and neural designs vectorize inside
-                // decideBatch (fail-closed classifiers keep every
-                // decision at 0 = precise).
-                std::vector<std::uint8_t> precise(trace.count());
-                classifier.decideBatch(trace.inputsFlat().data(),
-                                       trace.inputWidth(), trace.count(),
-                                       0, precise.data());
-                for (std::size_t i = 0; i < trace.count(); ++i) {
-                    decisions[i] = precise[i] ? 0 : 1;
-                    one.accel += precise[i] ? 0u : 1u;
-                }
-            }
+            one.accel = shard.front().accelerated;
             one.total = trace.count();
             const auto recomposed = workload.benchmark->recompose(
                 *entry.dataset, trace, decisions);

@@ -86,93 +86,45 @@ Evaluator::evaluate(Classifier &classifier,
 
     const std::size_t shardCount =
         options.shards ? options.shards : defaultShardCount();
-    eval.sharded.shardCount = shardCount;
-    eval.sharded.shards.resize(shardCount);
     MITHRA_GAUGE_SET("runtime.shards",
                      static_cast<double>(shardCount));
 
     std::vector<double> losses;
     losses.reserve(eval.trials);
 
-    // The watchdog treats the validation suite as one long deployment
-    // stream split into shardCount substreams: each shard owns a
-    // watchdog whose state and audit schedule persist across datasets.
-    // The per-shard envelopes run at the split confidence (alpha / N)
-    // so the merged envelope holds at the configured confidence.
-    std::vector<watchdog::Watchdog> dogs;
-    if (options.watchdog.enabled) {
-        eval.sharded.shardConfidence = stats::splitConfidence(
-            options.watchdog.confidence, shardCount);
-        dogs.reserve(shardCount);
-        for (std::size_t k = 0; k < shardCount; ++k) {
-            watchdog::WatchdogOptions perShard = options.watchdog;
-            perShard.confidence = eval.sharded.shardConfidence;
-            perShard.seed = shardSeed(options.watchdog.seed, k);
-            dogs.emplace_back(perShard, threshold);
-        }
-    }
+    // The validation suite is one long deployment stream: the
+    // engine's per-shard watchdogs, totals and sampling position
+    // persist across datasets.
+    DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    loop.onlineSampleRate = options.onlineSampleRate;
+    loop.sampleSeed = options.seed ^ 0x0b5e7feULL;
+    DecisionEngine engine(shardCount, options.watchdog, loop);
 
     std::size_t accelTotal = 0;
     std::size_t invocationTotal = 0;
     std::size_t falsePositives = 0;
     std::size_t falseNegatives = 0;
 
-    DecisionLoopOptions loop;
-    loop.oracleThreshold = threshold;
-    loop.onlineSampleRate = options.onlineSampleRate;
-    loop.sampleSeed = options.seed ^ 0x0b5e7feULL;
-    loop.blockSize = options.batchBlock;
-
     std::vector<std::uint8_t> decisions;
-    std::vector<ShardTally> tallies;
     for (const auto &entry : validation.entries) {
         const auto &trace = *entry.trace;
         classifier.beginDataset(trace);
 
         decisions.assign(trace.count(), 0);
-        const ShardPlan plan(trace.count(), shardCount);
-        runShardedDecisions(classifier, trace, plan, dogs, loop,
-                            decisions.data(), tallies);
-
-        // Slot-ordered merge of the per-shard tallies: the fold order
-        // is shard 0, 1, ... regardless of which worker finished
-        // first, so the totals are independent of thread count.
-        std::size_t numAccel = 0;
-        std::size_t auditPreciseRuns = 0;
-        std::size_t shadowAccelRuns = 0;
-        for (std::size_t k = 0; k < shardCount; ++k) {
-            const ShardTally &tally = tallies[k];
-            numAccel += tally.accelerated;
-            falsePositives += tally.falsePositives;
-            falseNegatives += tally.falseNegatives;
-            auditPreciseRuns += tally.auditPreciseRuns;
-            shadowAccelRuns += tally.shadowAccelRuns;
-
-            ShardReport &report = eval.sharded.shards[k];
-            report.invocations += tally.invocations;
-            report.accelerated += tally.accelerated;
-            report.falsePositives += tally.falsePositives;
-            report.falseNegatives += tally.falseNegatives;
-        }
+        const ShardTally tally =
+            engine.decide(classifier, trace, decisions.data());
+        accelTotal += tally.accelerated;
+        invocationTotal += trace.count();
+        falsePositives += tally.falsePositives;
+        falseNegatives += tally.falseNegatives;
 
         // Deferred online observations (paper §IV-C.1): the schedule
         // picked the indices inside the sharded loop; the mutating
         // observe() calls run here, serially, in ascending stream
         // order — identical for any shard partition and thread count.
-        if (options.onlineSampleRate > 0.0) {
-            for (std::size_t k = 0; k < shardCount; ++k) {
-                for (const std::size_t i : tallies[k].sampledIndices) {
-                    classifier.observe(trace.inputVec(i),
-                                       trace.maxAbsError(i));
-                }
-            }
-        }
-
-        accelTotal += numAccel;
-        invocationTotal += trace.count();
-        // The sampling schedule indexes the concatenated validation
-        // stream, so the next dataset continues where this one ended.
-        loop.streamOffset += trace.count();
+        for (const std::size_t i : tally.sampledIndices)
+            classifier.observe(trace.inputVec(i), trace.maxAbsError(i));
 
         const auto recomposed = bench.recompose(*entry.dataset, trace,
                                                 decisions);
@@ -188,10 +140,11 @@ Evaluator::evaluate(Classifier &classifier,
         // accelerator. They are charged as overhead on top of run()
         // because they duplicate work without changing routing.
         auto totals = systemSim.run(
-            workload.profile, classifier.cost(), numAccel,
-            trace.count() - numAccel);
+            workload.profile, classifier.cost(), tally.accelerated,
+            trace.count() - tally.accelerated);
         totals += systemSim.auditOverhead(
-            workload.profile, auditPreciseRuns, shadowAccelRuns);
+            workload.profile, tally.auditPreciseRuns,
+            tally.shadowAccelRuns);
         eval.totals += totals;
         eval.baselineTotals += systemSim.baseline(workload.profile);
     }
@@ -220,43 +173,18 @@ Evaluator::evaluate(Classifier &classifier,
                                                 eval.totals);
     eval.edpImprovement = sim::edpImprovement(eval.baselineTotals,
                                               eval.totals);
-    if (!dogs.empty()) {
-        eval.watchdogEnabled = true;
-        mergeShardEvidence(dogs, options.watchdog.confidence,
-                           eval.sharded);
-
-        // The legacy snapshot becomes the slot-ordered sum of the
-        // per-shard snapshots, with the worst state and the merged
-        // envelope — so existing report surfaces keep working.
-        watchdog::Snapshot combined;
-        combined.state = eval.sharded.combinedState;
-        combined.violationLowerBound =
-            eval.sharded.violationEnvelope.lower;
-        combined.violationUpperBound =
-            eval.sharded.violationEnvelope.upper;
+    eval.sharded = engine.evidence();
+    if (eval.sharded.watchdogEnabled) {
         for (std::size_t k = 0; k < shardCount; ++k) {
             const watchdog::Snapshot &snap =
                 eval.sharded.shards[k].watchdog;
-            combined.invocations += snap.invocations;
-            combined.audits += snap.audits;
-            combined.violations += snap.violations;
-            combined.suspectEntries += snap.suspectEntries;
-            combined.trips += snap.trips;
-            combined.recoveries += snap.recoveries;
-            combined.forcedPrecise += snap.forcedPrecise;
-            combined.epochAudits += snap.epochAudits;
-            combined.epochViolations += snap.epochViolations;
-            if (snap.firstTripAt < combined.firstTripAt)
-                combined.firstTripAt = snap.firstTripAt;
-
             MITHRA_COUNT_DYNAMIC(shardCounterName(k, "audits"),
                                  snap.audits);
             MITHRA_COUNT_DYNAMIC(shardCounterName(k, "violations"),
                                  snap.violations);
         }
-        eval.watchdog = combined;
         MITHRA_GAUGE_SET("watchdog.final_state",
-                         static_cast<double>(eval.watchdog.state));
+                         static_cast<double>(eval.sharded.combinedState));
     }
     return eval;
 }

@@ -89,8 +89,6 @@ struct EvaluationOptions
      * experiment cache key.
      */
     std::size_t shards = 0;
-    /** Invocations per decideBatch() block inside a shard. */
-    std::size_t batchBlock = 512;
     /**
      * Runtime guarantee watchdog (disabled by default, in which case
      * evaluation is bit-for-bit identical to a watchdog-less build).
@@ -127,18 +125,10 @@ struct DesignEvaluation
     sim::RunTotals totals{};
     sim::RunTotals baselineTotals{};
     /**
-     * Watchdog state at the end of the run. Deliberately NOT part of
-     * the experiment cache serialization (the cache format predates
-     * the watchdog and cached records are watchdog-less evaluations);
-     * valid only when watchdogEnabled.
-     */
-    bool watchdogEnabled = false;
-    watchdog::Snapshot watchdog{};
-    /**
-     * The sharded engine's report: per-shard tallies and, with the
+     * The decision engine's report: per-shard totals and, with the
      * watchdog on, the merged evidence (envelope intersection at the
-     * split alpha). Like the watchdog snapshot, NOT part of the
-     * experiment cache serialization.
+     * split alpha). Deliberately NOT part of the experiment cache
+     * serialization (the cache format predates the watchdog).
      */
     ShardedEvaluation sharded{};
 };

@@ -1,5 +1,7 @@
 #include "core/shard.hh"
 
+#include <algorithm>
+
 #include "common/contracts.hh"
 #include "common/env_registry.hh"
 #include "common/logging.hh"
@@ -75,8 +77,16 @@ accountBlock(const float *errors, watchdog::Watchdog *dog,
                 ++tally.auditPreciseRuns;
             if (routing.auditShadowAccel)
                 ++tally.shadowAccelRuns;
-            if (routing.audited())
-                dog->reportAudit(errors[i]);
+            if (!precise && !routing.useAccel)
+                ++tally.forcedPrecise;
+            if (routing.audited()) {
+                const bool wasDegraded = dog->degraded();
+                if (dog->reportAudit(errors[i]))
+                    ++tally.violations;
+                if (!wasDegraded && dog->degraded()
+                    && tally.firstTripAt == watchdog::noTrip)
+                    tally.firstTripAt = i;
+            }
             precise = !routing.useAccel;
         }
 
@@ -221,6 +231,77 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
     } else {
         out.pooledEnvelope = stats::ProportionEnvelope{};
     }
+}
+
+DecisionEngine::DecisionEngine(std::size_t shards,
+                               const watchdog::WatchdogOptions &watchdog,
+                               const DecisionLoopOptions &loopOptions)
+    : loop(loopOptions), confidence(watchdog.confidence),
+      lifetime(shards)
+{
+    MITHRA_EXPECTS(shards >= 1, "an engine needs at least one shard");
+    if (!watchdog.enabled)
+        return;
+    // Per-shard watchdogs at the split confidence: the merged
+    // envelope then holds at the configured confidence by the union
+    // bound.
+    dogs.reserve(shards);
+    for (std::size_t k = 0; k < shards; ++k) {
+        watchdog::WatchdogOptions perShard = watchdog;
+        perShard.confidence =
+            stats::splitConfidence(watchdog.confidence, shards);
+        perShard.seed = shardSeed(watchdog.seed, k);
+        dogs.emplace_back(perShard, loop.oracleThreshold);
+    }
+}
+
+ShardTally
+DecisionEngine::decide(Classifier &classifier,
+                       const axbench::InvocationTrace &trace,
+                       std::uint8_t *decisions)
+{
+    runShardedDecisions(classifier, trace,
+                        ShardPlan(trace.count(), lifetime.size()), dogs,
+                        loop, decisions, tallies);
+    loop.streamOffset += trace.count();
+    ++numCalls;
+
+    // Slot-ordered fold: shard 0, 1, ... regardless of which worker
+    // finished first, so every total is independent of thread count.
+    ShardTally call;
+    for (std::size_t k = 0; k < tallies.size(); ++k) {
+        const ShardTally &tally = tallies[k];
+        call.invocations += tally.invocations;
+        call.accelerated += tally.accelerated;
+        call.falsePositives += tally.falsePositives;
+        call.falseNegatives += tally.falseNegatives;
+        call.auditPreciseRuns += tally.auditPreciseRuns;
+        call.shadowAccelRuns += tally.shadowAccelRuns;
+        call.violations += tally.violations;
+        call.forcedPrecise += tally.forcedPrecise;
+        call.firstTripAt = std::min(call.firstTripAt, tally.firstTripAt);
+        call.sampledIndices.insert(call.sampledIndices.end(),
+                                   tally.sampledIndices.begin(),
+                                   tally.sampledIndices.end());
+
+        ShardReport &report = lifetime[k];
+        report.invocations += tally.invocations;
+        report.accelerated += tally.accelerated;
+        report.falsePositives += tally.falsePositives;
+        report.falseNegatives += tally.falseNegatives;
+    }
+    return call;
+}
+
+ShardedEvaluation
+DecisionEngine::evidence() const
+{
+    ShardedEvaluation out;
+    out.shardCount = lifetime.size();
+    out.shards = lifetime;
+    if (!dogs.empty())
+        mergeShardEvidence(dogs, confidence, out);
+    return out;
 }
 
 } // namespace mithra::core

@@ -2,9 +2,11 @@
  * @file
  * The sharded, batch-first runtime decision loop.
  *
- * The evaluator used to walk each validation trace serially, one
- * decidePrecise() per invocation. This module replaces that walk with
- * a two-level structure:
+ * The runtime's one decision loop. The offline evaluator, served
+ * models, compile-time calibration and the drift drills all decide
+ * through runShardedDecisions(); DecisionEngine wraps it for streams
+ * that keep per-shard watchdogs and totals across datasets or
+ * batches. The loop has a two-level structure:
  *
  *  - **Shards.** Each dataset's invocation stream is split into N
  *    deterministic contiguous shards (ShardPlan). Shard boundaries are
@@ -107,6 +109,14 @@ struct ShardTally
     std::size_t auditPreciseRuns = 0;
     /** DEGRADED shadow audits that ran the gated accelerator. */
     std::size_t shadowAccelRuns = 0;
+    /** Audits whose true error exceeded the watchdog's threshold. */
+    std::size_t violations = 0;
+    /** Would-accelerate invocations a DEGRADED watchdog forced onto
+     *  the precise path. */
+    std::size_t forcedPrecise = 0;
+    /** Trace index of the call's first entry into DEGRADED
+     *  (watchdog::noTrip when none). */
+    std::size_t firstTripAt = watchdog::noTrip;
     /**
      * Dataset positions picked by the online-sampling schedule, in
      * ascending order. The caller replays them through
@@ -114,6 +124,12 @@ struct ShardTally
      * ascending position reproduces the serial observation order.
      */
     std::vector<std::size_t> sampledIndices;
+
+    /** Watchdog audits of either kind. */
+    std::size_t audits() const
+    {
+        return auditPreciseRuns + shadowAccelRuns;
+    }
 };
 
 /** Knobs of one runShardedDecisions() pass over one dataset. */
@@ -215,5 +231,69 @@ struct ShardedEvaluation
  */
 void mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                         double confidence, ShardedEvaluation &out);
+
+/**
+ * The runtime decision engine behind every deployment stream: the
+ * offline Evaluator's validation suite and each served Model's
+ * `/invoke` stream.
+ *
+ * It owns what persists across the datasets or batches of one
+ * stream: the per-shard watchdogs (built once, at the split
+ * confidence and with per-shard schedule seeds), the stream position
+ * that indexes the online-sampling schedule, and each shard's
+ * lifetime totals. Not thread-safe: callers serialize decide() calls,
+ * because the watchdog evidence stream is strictly ordered.
+ */
+class DecisionEngine
+{
+  public:
+    /**
+     * @param shards   shards each decided stream is split into (>= 1)
+     * @param watchdog watchdog knobs; when enabled, shard k owns a
+     *                 watchdog at splitConfidence(watchdog.confidence,
+     *                 shards) seeded with shardSeed(watchdog.seed, k)
+     * @param loop     decision-loop knobs; loop.oracleThreshold is
+     *                 also the watchdog's violation threshold, and
+     *                 loop.streamOffset the stream's first position
+     */
+    DecisionEngine(std::size_t shards,
+                   const watchdog::WatchdogOptions &watchdog,
+                   const DecisionLoopOptions &loop);
+
+    /**
+     * Decide one dataset or batch with runShardedDecisions() and
+     * advance the stream position past it. beginDataset(trace) must
+     * already have been called on the classifier.
+     *
+     * @param decisions out: trace.count() entries, 1 = accelerate
+     * @return this call's tallies folded in slot order: counts
+     *         summed, firstTripAt the earliest trip, sampledIndices
+     *         concatenated shard by shard (ascending stream order)
+     */
+    ShardTally decide(Classifier &classifier,
+                      const axbench::InvocationTrace &trace,
+                      std::uint8_t *decisions);
+
+    /**
+     * Each shard's lifetime totals and, with the watchdog on, the
+     * merged evidence (mergeShardEvidence()).
+     */
+    ShardedEvaluation evidence() const;
+
+    std::size_t shardCount() const { return lifetime.size(); }
+    bool watchdogEnabled() const { return !dogs.empty(); }
+    /** decide() calls so far. */
+    std::size_t calls() const { return numCalls; }
+
+  private:
+    /** streamOffset is the current stream position. */
+    DecisionLoopOptions loop;
+    /** The full (unsplit) envelope confidence. */
+    double confidence;
+    std::vector<watchdog::Watchdog> dogs;
+    std::vector<ShardReport> lifetime;
+    std::vector<ShardTally> tallies;
+    std::size_t numCalls = 0;
+};
 
 } // namespace mithra::core

@@ -155,7 +155,7 @@ Watchdog::route(bool wantAccel)
     return routing;
 }
 
-void
+bool
 Watchdog::reportAudit(float trueError)
 {
     MITHRA_EXPECTS(auditPending,
@@ -224,6 +224,7 @@ Watchdog::reportAudit(float trueError)
         }
         break;
     }
+    return violated;
 }
 
 void
@@ -281,34 +282,6 @@ Watchdog::snapshot() const
     snap.epochAudits = violationBound.observations();
     snap.epochViolations = violationBound.successes();
     return snap;
-}
-
-StreamResult
-runStream(Watchdog &dog, Classifier &classifier,
-          const axbench::InvocationTrace &trace)
-{
-    MITHRA_SPAN("core.watchdog.stream");
-    MITHRA_EXPECTS(trace.hasApproximations(),
-                   "watchdog streams need approximate outputs attached");
-
-    const std::size_t tripsBefore = dog.snapshot().trips;
-    StreamResult result;
-    result.invocations = trace.count();
-
-    classifier.beginDataset(trace);
-    for (std::size_t i = 0; i < trace.count(); ++i) {
-        const bool wantPrecise =
-            classifier.decidePrecise(trace.inputVec(i), i);
-        const Routing routing = dog.route(!wantPrecise);
-        if (routing.audited())
-            dog.reportAudit(trace.maxAbsError(i));
-        if (result.tripIndex == noTrip
-            && dog.snapshot().trips > tripsBefore)
-            result.tripIndex = i;
-    }
-
-    result.snapshot = dog.snapshot();
-    return result;
 }
 
 } // namespace mithra::core::watchdog

@@ -51,13 +51,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/classifier.hh"
 #include "stats/sequential_bound.hh"
-
-namespace mithra::axbench
-{
-class InvocationTrace;
-}
 
 namespace mithra::core::watchdog
 {
@@ -210,8 +204,11 @@ class Watchdog
      */
     Routing route(bool wantAccel);
 
-    /** Report the audited invocation's true local error. */
-    void reportAudit(float trueError);
+    /**
+     * Report the audited invocation's true local error. Returns true
+     * when the audit violated (the error exceeded the threshold).
+     */
+    bool reportAudit(float trueError);
 
     State state() const { return currentState; }
 
@@ -255,26 +252,5 @@ class Watchdog
     std::size_t numForcedPrecise = 0;
     std::size_t firstTrip = noTrip;
 };
-
-/** Summary of one stream segment driven through runStream(). */
-struct StreamResult
-{
-    Snapshot snapshot;
-    /** Invocations fed from this segment. */
-    std::size_t invocations = 0;
-    /** Index *within this segment* of the first trip (noTrip: none). */
-    std::size_t tripIndex = noTrip;
-};
-
-/**
- * Drive a watchdog over one cached invocation stream: per invocation
- * ask the classifier, route through the watchdog, and serve scheduled
- * audits from the trace's cached true errors (the trace holds both
- * the precise and the approximate outputs, so "running both paths" is
- * a lookup here — the cost model, not this helper, charges for it).
- * Used by the drift harness, fig12 and the tests.
- */
-StreamResult runStream(Watchdog &dog, Classifier &classifier,
-                       const axbench::InvocationTrace &trace);
 
 } // namespace mithra::core::watchdog

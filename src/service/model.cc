@@ -12,8 +12,6 @@ namespace mithra::service
 namespace
 {
 
-using core::watchdog::Snapshot;
-
 telemetry::Json
 envelopeJson(const stats::ProportionEnvelope &envelope,
              double confidence)
@@ -25,162 +23,21 @@ envelopeJson(const stats::ProportionEnvelope &envelope,
     return telemetry::Json(std::move(out));
 }
 
-} // namespace
-
-Model::Model(std::string modelId, core::CompiledWorkload compiled,
-             std::unique_ptr<core::Classifier> decider,
-             core::ThresholdResult tunedThreshold,
-             const ModelConfig &modelConfig)
-    : name(std::move(modelId)),
-      workload(std::move(compiled)),
-      classifier(std::move(decider)),
-      threshold(tunedThreshold),
-      configuration(modelConfig)
-{
-    MITHRA_EXPECTS(workload.benchmark != nullptr,
-                   "model needs a compiled benchmark");
-    MITHRA_EXPECTS(classifier != nullptr, "model needs a classifier");
-    MITHRA_EXPECTS(configuration.shards >= 1,
-                   "model shard count must be positive");
-    benchmarkName = workload.benchmark->name();
-    width = workload.benchmark->npuTopology().front();
-    if (configuration.watchdog.enabled) {
-        // Per-shard watchdogs at the split confidence, exactly like
-        // the offline sharded evaluator: the merged envelope then
-        // holds at the configured confidence by the union bound.
-        const double shardConfidence = stats::splitConfidence(
-            configuration.watchdog.confidence, configuration.shards);
-        dogs.reserve(configuration.shards);
-        for (std::size_t k = 0; k < configuration.shards; ++k) {
-            core::watchdog::WatchdogOptions opts =
-                configuration.watchdog;
-            opts.confidence = shardConfidence;
-            opts.seed =
-                core::shardSeed(configuration.watchdog.seed, k);
-            dogs.emplace_back(opts, threshold.threshold);
-        }
-    }
-}
-
-InvokeOutcome
-Model::invoke(const float *rows, std::size_t count)
-{
-    MITHRA_EXPECTS(count > 0, "invoke batch must not be empty");
-    std::lock_guard<std::mutex> hold(mutex);
-
-    const axbench::InvocationTrace trace =
-        core::traceFromInputs(workload, rows, width, count);
-    classifier->beginDataset(trace);
-
-    const core::ShardPlan plan(count, configuration.shards);
-    core::DecisionLoopOptions loop;
-    loop.oracleThreshold = threshold.threshold;
-    loop.onlineSampleRate = 0.0; // decisions stay pure over the batch
-    loop.streamOffset = streamPosition;
-
-    std::vector<Snapshot> before(dogs.size());
-    for (std::size_t k = 0; k < dogs.size(); ++k)
-        before[k] = dogs[k].snapshot();
-
-    InvokeOutcome outcome;
-    outcome.decisions.resize(count);
-    std::vector<core::ShardTally> tallies;
-    core::runShardedDecisions(*classifier, trace, plan, dogs, loop,
-                              outcome.decisions.data(), tallies);
-
-    std::size_t batchAccelerated = 0;
-    std::size_t batchFalsePositives = 0;
-    std::size_t batchFalseNegatives = 0;
-    for (const core::ShardTally &tally : tallies) {
-        batchAccelerated += tally.accelerated;
-        batchFalsePositives += tally.falsePositives;
-        batchFalseNegatives += tally.falseNegatives;
-    }
-    std::size_t batchAudits = 0;
-    std::size_t batchViolations = 0;
-    std::size_t batchForcedPrecise = 0;
-    for (std::size_t k = 0; k < dogs.size(); ++k) {
-        const Snapshot now = dogs[k].snapshot();
-        batchAudits += now.audits - before[k].audits;
-        batchViolations += now.violations - before[k].violations;
-        batchForcedPrecise +=
-            now.forcedPrecise - before[k].forcedPrecise;
-    }
-
-    streamPosition += count;
-    batches += 1;
-    totalInvocations += count;
-    totalAccelerated += batchAccelerated;
-    totalFalsePositives += batchFalsePositives;
-    totalFalseNegatives += batchFalseNegatives;
-
-    MITHRA_COUNT("service.invocations", count);
-    MITHRA_COUNT("service.accelerated", batchAccelerated);
-
-    telemetry::Json::Object certificate;
-    certificate.emplace("model", telemetry::Json(name));
-    certificate.emplace("benchmark", telemetry::Json(benchmarkName));
-    certificate.emplace("design",
-                        telemetry::Json(configuration.design));
-    certificate.emplace("shards",
-                        telemetry::Json(configuration.shards));
-    certificate.emplace("threshold",
-                        telemetry::Json(threshold.threshold));
-    certificate.emplace("watchdogEnabled",
-                        telemetry::Json(!dogs.empty()));
-
-    telemetry::Json::Object batch;
-    batch.emplace("invocations", telemetry::Json(count));
-    batch.emplace("accelerated", telemetry::Json(batchAccelerated));
-    batch.emplace("falsePositives",
-                  telemetry::Json(batchFalsePositives));
-    batch.emplace("falseNegatives",
-                  telemetry::Json(batchFalseNegatives));
-    batch.emplace("audits", telemetry::Json(batchAudits));
-    batch.emplace("violations", telemetry::Json(batchViolations));
-    batch.emplace("forcedPrecise",
-                  telemetry::Json(batchForcedPrecise));
-    certificate.emplace("batch", telemetry::Json(std::move(batch)));
-
-    telemetry::Json::Object total;
-    total.emplace("batches", telemetry::Json(batches));
-    total.emplace("invocations", telemetry::Json(totalInvocations));
-    total.emplace("accelerated", telemetry::Json(totalAccelerated));
-    total.emplace("falsePositives",
-                  telemetry::Json(totalFalsePositives));
-    total.emplace("falseNegatives",
-                  telemetry::Json(totalFalseNegatives));
-    certificate.emplace("total", telemetry::Json(std::move(total)));
-
-    if (!dogs.empty())
-        certificate.emplace("watchdog", watchdogEvidenceLocked());
-
-    outcome.certificate = telemetry::Json(std::move(certificate));
-    return outcome;
-}
-
+/** The certificate's watchdog section from the merged evidence. */
 telemetry::Json
-Model::watchdogEvidenceLocked() const
+watchdogJson(const core::ShardedEvaluation &merged, double confidence)
 {
-    core::ShardedEvaluation merged;
-    merged.shardCount = configuration.shards;
-    merged.watchdogEnabled = true;
-    merged.shards.resize(dogs.size());
-    core::mergeShardEvidence(dogs, configuration.watchdog.confidence,
-                             merged);
-
     telemetry::Json::Object evidence;
     evidence.emplace(
         "state",
         telemetry::Json(core::watchdog::stateName(merged.combinedState)));
     evidence.emplace("envelope",
-                     envelopeJson(merged.violationEnvelope,
-                                  configuration.watchdog.confidence));
+                     envelopeJson(merged.violationEnvelope, confidence));
     telemetry::Json::Array perShard;
     std::size_t audits = 0;
     std::size_t violations = 0;
     for (const core::ShardReport &shard : merged.shards) {
-        const Snapshot &snap = shard.watchdog;
+        const core::watchdog::Snapshot &snap = shard.watchdog;
         audits += snap.audits;
         violations += snap.violations;
         telemetry::Json::Object one;
@@ -202,6 +59,106 @@ Model::watchdogEvidenceLocked() const
     return telemetry::Json(std::move(evidence));
 }
 
+/** Sum of the per-shard lifetime totals, in slot order. */
+core::ShardReport
+streamTotals(const core::ShardedEvaluation &merged)
+{
+    core::ShardReport total;
+    for (const core::ShardReport &shard : merged.shards) {
+        total.invocations += shard.invocations;
+        total.accelerated += shard.accelerated;
+        total.falsePositives += shard.falsePositives;
+        total.falseNegatives += shard.falseNegatives;
+    }
+    return total;
+}
+
+} // namespace
+
+Model::Model(std::string modelId, core::CompiledWorkload compiled,
+             std::unique_ptr<core::Classifier> decider,
+             core::ThresholdResult tunedThreshold,
+             const ModelConfig &modelConfig)
+    : name(std::move(modelId)),
+      workload(std::move(compiled)),
+      classifier(std::move(decider)),
+      threshold(tunedThreshold),
+      configuration(modelConfig),
+      // Online sampling stays off: decisions are pure over a batch.
+      engine(modelConfig.shards, modelConfig.watchdog,
+             {.oracleThreshold = tunedThreshold.threshold})
+{
+    MITHRA_EXPECTS(workload.benchmark != nullptr,
+                   "model needs a compiled benchmark");
+    MITHRA_EXPECTS(classifier != nullptr, "model needs a classifier");
+    benchmarkName = workload.benchmark->name();
+    width = workload.benchmark->npuTopology().front();
+}
+
+InvokeOutcome
+Model::invoke(const float *rows, std::size_t count)
+{
+    MITHRA_EXPECTS(count > 0, "invoke batch must not be empty");
+    std::lock_guard<std::mutex> hold(mutex);
+
+    const axbench::InvocationTrace trace =
+        core::traceFromInputs(workload, rows, width, count);
+    classifier->beginDataset(trace);
+
+    InvokeOutcome outcome;
+    outcome.decisions.resize(count);
+    const core::ShardTally tally =
+        engine.decide(*classifier, trace, outcome.decisions.data());
+    const core::ShardedEvaluation merged = engine.evidence();
+    const core::ShardReport total = streamTotals(merged);
+
+    MITHRA_COUNT("service.invocations", count);
+    MITHRA_COUNT("service.accelerated", tally.accelerated);
+
+    telemetry::Json::Object certificate;
+    certificate.emplace("model", telemetry::Json(name));
+    certificate.emplace("benchmark", telemetry::Json(benchmarkName));
+    certificate.emplace("design",
+                        telemetry::Json(configuration.design));
+    certificate.emplace("shards",
+                        telemetry::Json(configuration.shards));
+    certificate.emplace("threshold",
+                        telemetry::Json(threshold.threshold));
+    certificate.emplace("watchdogEnabled",
+                        telemetry::Json(engine.watchdogEnabled()));
+
+    telemetry::Json::Object batch;
+    batch.emplace("invocations", telemetry::Json(count));
+    batch.emplace("accelerated", telemetry::Json(tally.accelerated));
+    batch.emplace("falsePositives",
+                  telemetry::Json(tally.falsePositives));
+    batch.emplace("falseNegatives",
+                  telemetry::Json(tally.falseNegatives));
+    batch.emplace("audits", telemetry::Json(tally.audits()));
+    batch.emplace("violations", telemetry::Json(tally.violations));
+    batch.emplace("forcedPrecise",
+                  telemetry::Json(tally.forcedPrecise));
+    certificate.emplace("batch", telemetry::Json(std::move(batch)));
+
+    telemetry::Json::Object totals;
+    totals.emplace("batches", telemetry::Json(engine.calls()));
+    totals.emplace("invocations", telemetry::Json(total.invocations));
+    totals.emplace("accelerated", telemetry::Json(total.accelerated));
+    totals.emplace("falsePositives",
+                   telemetry::Json(total.falsePositives));
+    totals.emplace("falseNegatives",
+                   telemetry::Json(total.falseNegatives));
+    certificate.emplace("total", telemetry::Json(std::move(totals)));
+
+    if (engine.watchdogEnabled())
+        certificate.emplace(
+            "watchdog",
+            watchdogJson(merged, configuration.watchdog.confidence));
+
+    outcome.certificate = telemetry::Json(std::move(certificate));
+    return outcome;
+}
+
 telemetry::Json
 Model::describe() const
 {
@@ -217,12 +174,17 @@ Model::describe() const
                 telemetry::Json(threshold.successLowerBound));
     out.emplace("approximationEnabled",
                 telemetry::Json(classifier->approximationEnabled()));
-    out.emplace("batches", telemetry::Json(batches));
-    out.emplace("invocations", telemetry::Json(totalInvocations));
-    out.emplace("accelerated", telemetry::Json(totalAccelerated));
-    out.emplace("watchdogEnabled", telemetry::Json(!dogs.empty()));
-    if (!dogs.empty())
-        out.emplace("watchdog", watchdogEvidenceLocked());
+    const core::ShardedEvaluation merged = engine.evidence();
+    const core::ShardReport total = streamTotals(merged);
+    out.emplace("batches", telemetry::Json(engine.calls()));
+    out.emplace("invocations", telemetry::Json(total.invocations));
+    out.emplace("accelerated", telemetry::Json(total.accelerated));
+    out.emplace("watchdogEnabled",
+                telemetry::Json(engine.watchdogEnabled()));
+    if (engine.watchdogEnabled())
+        out.emplace("watchdog",
+                    watchdogJson(merged,
+                                 configuration.watchdog.confidence));
     return telemetry::Json(std::move(out));
 }
 

@@ -78,10 +78,9 @@ class Model
     /**
      * Decide one batch of `count` row-major input rows of
      * inputWidth() floats each: ground-truth + accelerator outputs
-     * via core::traceFromInputs, decisions via runShardedDecisions on
-     * the persistent per-shard watchdogs, certificate via
-     * mergeShardEvidence. Serializes concurrent callers — the
-     * watchdog evidence stream is strictly ordered.
+     * via core::traceFromInputs, decisions and certificate evidence
+     * via the model's core::DecisionEngine. Serializes concurrent
+     * callers — the watchdog evidence stream is strictly ordered.
      */
     InvokeOutcome invoke(const float *rows, std::size_t count);
 
@@ -90,8 +89,6 @@ class Model
     telemetry::Json describe() const;
 
   private:
-    telemetry::Json watchdogEvidenceLocked() const;
-
     mutable std::mutex mutex;
     std::string name;
     std::string benchmarkName;
@@ -100,16 +97,8 @@ class Model
     core::ThresholdResult threshold;
     ModelConfig configuration;
     std::size_t width = 0;
-    /** One per shard; empty when the watchdog is disabled. */
-    std::vector<core::watchdog::Watchdog> dogs;
-
-    /** Lifetime totals over every served batch. */
-    std::uint64_t streamPosition = 0;
-    std::size_t batches = 0;
-    std::size_t totalInvocations = 0;
-    std::size_t totalAccelerated = 0;
-    std::size_t totalFalsePositives = 0;
-    std::size_t totalFalseNegatives = 0;
+    /** The served stream: per-shard watchdogs and lifetime totals. */
+    core::DecisionEngine engine;
 };
 
 /** Thread-safe id -> model map shared by jobs and the router. */

@@ -181,19 +181,22 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
     // Watchdog on: the shard count is semantic configuration, but the
     // thread count still must not change anything.
     const DesignEvaluation reference = runEval(3, 1, true);
-    ASSERT_TRUE(reference.watchdogEnabled);
+    ASSERT_TRUE(reference.sharded.watchdogEnabled);
     ASSERT_EQ(reference.sharded.shards.size(), 3u);
     for (const std::size_t threads : {2u, 8u}) {
         const DesignEvaluation eval = runEval(3, threads, true);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdentical(reference, eval);
-        EXPECT_EQ(eval.watchdog.audits, reference.watchdog.audits);
-        EXPECT_EQ(eval.watchdog.violations,
-                  reference.watchdog.violations);
-        EXPECT_EQ(eval.watchdog.state, reference.watchdog.state);
+        EXPECT_EQ(eval.sharded.combinedState,
+                  reference.sharded.combinedState);
+        EXPECT_EQ(eval.sharded.violationEnvelope.lower,
+                  reference.sharded.violationEnvelope.lower);
+        EXPECT_EQ(eval.sharded.violationEnvelope.upper,
+                  reference.sharded.violationEnvelope.upper);
         for (std::size_t k = 0; k < 3; ++k) {
             const auto &a = reference.sharded.shards[k].watchdog;
             const auto &b = eval.sharded.shards[k].watchdog;
+            EXPECT_EQ(a.state, b.state);
             EXPECT_EQ(a.audits, b.audits);
             EXPECT_EQ(a.violations, b.violations);
             EXPECT_EQ(a.violationLowerBound, b.violationLowerBound);
@@ -205,7 +208,7 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
 TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
 {
     const DesignEvaluation eval = runEval(4, 2, true);
-    ASSERT_TRUE(eval.watchdogEnabled);
+    ASSERT_TRUE(eval.sharded.watchdogEnabled);
     ASSERT_EQ(eval.sharded.shards.size(), 4u);
     EXPECT_EQ(eval.sharded.shardConfidence,
               stats::splitConfidence(0.95, 4));
@@ -222,14 +225,21 @@ TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
             expected, {shard.watchdog.violationLowerBound,
                        shard.watchdog.violationUpperBound});
     }
-    EXPECT_EQ(eval.watchdog.audits, audits);
-    EXPECT_EQ(eval.watchdog.violations, violations);
     EXPECT_EQ(invocations, env().validation.totalInvocations());
     EXPECT_EQ(eval.sharded.violationEnvelope.lower, expected.lower);
     EXPECT_EQ(eval.sharded.violationEnvelope.upper, expected.upper);
-    EXPECT_EQ(eval.watchdog.violationLowerBound, expected.lower);
-    EXPECT_EQ(eval.watchdog.violationUpperBound, expected.upper);
     EXPECT_TRUE(eval.sharded.violationEnvelope.valid());
+    // The pooled diagnostic is the one-look interval on the summed
+    // per-shard audit counts at the full confidence (vacuous without
+    // audits).
+    stats::ProportionEnvelope pooled;
+    if (audits > 0) {
+        const stats::ProportionInterval interval =
+            stats::clopperPearsonInterval(violations, audits, 0.95);
+        pooled = {interval.lower, interval.upper};
+    }
+    EXPECT_EQ(eval.sharded.pooledEnvelope.lower, pooled.lower);
+    EXPECT_EQ(eval.sharded.pooledEnvelope.upper, pooled.upper);
 }
 
 TEST(AlphaSplit, SplitConfidenceSpendsAlphaOverShards)
@@ -343,4 +353,68 @@ TEST(ShardedRuntime, RunShardedDecisionsMatchesSerialReference)
     for (const ShardTally &tally : tallies)
         shardAccel += tally.accelerated;
     EXPECT_EQ(shardAccel, accelerated);
+
+    // Watchdog on, against a threshold tight enough that most audits
+    // violate: every shard's audit, violation, forced-precise and
+    // first-trip counts equal a serial route()/reportAudit() walk of
+    // its subsequence.
+    watchdog::WatchdogOptions wd;
+    wd.enabled = true;
+    wd.baseAuditRate = 0.3;
+    const double tight = 0.1 * e.threshold;
+    auto makeDogs = [&] {
+        std::vector<watchdog::Watchdog> dogs;
+        for (std::size_t k = 0; k < plan.shards; ++k) {
+            watchdog::WatchdogOptions perShard = wd;
+            perShard.seed = shardSeed(wd.seed, k);
+            dogs.emplace_back(perShard, tight);
+        }
+        return dogs;
+    };
+    std::vector<watchdog::Watchdog> dogs = makeDogs();
+    std::vector<watchdog::Watchdog> serialDogs = makeDogs();
+    RandomFilterClassifier watched(0.4, 0x1234);
+    RandomFilterClassifier serialWatched(0.4, 0x1234);
+    watched.beginDataset(trace);
+    serialWatched.beginDataset(trace);
+
+    setParallelThreadCount(4);
+    runShardedDecisions(watched, trace, plan, dogs, loop,
+                        decisions.data(), tallies);
+    setParallelThreadCount(1);
+
+    std::size_t trips = 0;
+    for (std::size_t k = 0; k < plan.shards; ++k) {
+        watchdog::Watchdog &dog = serialDogs[k];
+        std::size_t audits = 0;
+        std::size_t violations = 0;
+        std::size_t forced = 0;
+        std::size_t firstTrip = watchdog::noTrip;
+        for (std::size_t i = plan.begin(k); i < plan.end(k); ++i) {
+            const bool wantAccel =
+                !serialWatched.decidePrecise(trace.inputVec(i), i);
+            const watchdog::Routing routing = dog.route(wantAccel);
+            if (wantAccel && !routing.useAccel)
+                ++forced;
+            if (routing.audited()) {
+                ++audits;
+                if (dog.reportAudit(trace.maxAbsError(i)))
+                    ++violations;
+                if (firstTrip == watchdog::noTrip
+                    && dog.snapshot().trips > 0)
+                    firstTrip = i;
+            }
+            EXPECT_EQ(decisions[i], routing.useAccel ? 1 : 0);
+        }
+        SCOPED_TRACE("shard " + std::to_string(k));
+        EXPECT_EQ(tallies[k].audits(), audits);
+        EXPECT_EQ(tallies[k].violations, violations);
+        EXPECT_EQ(tallies[k].forcedPrecise, forced);
+        EXPECT_EQ(tallies[k].firstTripAt, firstTrip);
+        EXPECT_EQ(dogs[k].snapshot().audits, audits);
+        EXPECT_EQ(dogs[k].snapshot().forcedPrecise, forced);
+        trips += firstTrip == watchdog::noTrip ? 0 : 1;
+    }
+    // The input must actually exercise the trip path.
+    EXPECT_GT(trips, 0u);
 }

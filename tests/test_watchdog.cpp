@@ -14,6 +14,7 @@
 #include "axbench/benchmark.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "core/shard.hh"
 #include "core/watchdog/watchdog.hh"
 #include "stats/clopper_pearson.hh"
 #include "stats/sequential_bound.hh"
@@ -429,8 +430,9 @@ TEST(WatchdogStateMachine, PrecisePathInvocationsAreNotAudited)
 
 TEST(WatchdogStream, CleanTraceWithRealClassifierNeverTrips)
 {
-    // runStream over a synthetic trace whose approximations are good:
-    // the drift-off invariant (zero DEGRADED transitions) end to end.
+    // The decision loop over a synthetic trace whose approximations
+    // are good: the drift-off invariant (zero DEGRADED transitions)
+    // end to end.
     class AcceptAll final : public core::Classifier
     {
       public:
@@ -454,16 +456,22 @@ TEST(WatchdogStream, CleanTraceWithRealClassifierNeverTrips)
 
     WatchdogOptions opts;
     opts.enabled = true;
-    Watchdog dog(opts, 0.5);
+    std::vector<Watchdog> dogs{Watchdog(opts, 0.5)};
     AcceptAll classifier;
-    const auto result =
-        core::watchdog::runStream(dog, classifier, trace);
+    classifier.beginDataset(trace);
+    std::vector<std::uint8_t> decisions(trace.count());
+    std::vector<core::ShardTally> tallies;
+    core::runShardedDecisions(classifier, trace,
+                              core::ShardPlan(trace.count(), 1), dogs,
+                              core::DecisionLoopOptions{},
+                              decisions.data(), tallies);
 
-    EXPECT_EQ(result.invocations, 4000u);
-    EXPECT_EQ(result.tripIndex, noTrip);
-    EXPECT_EQ(result.snapshot.trips, 0u);
-    EXPECT_EQ(result.snapshot.state, State::Healthy);
-    EXPECT_GT(result.snapshot.audits, 0u);
+    const auto snapshot = dogs.front().snapshot();
+    EXPECT_EQ(tallies.front().invocations, 4000u);
+    EXPECT_EQ(tallies.front().firstTripAt, noTrip);
+    EXPECT_EQ(snapshot.trips, 0u);
+    EXPECT_EQ(snapshot.state, State::Healthy);
+    EXPECT_GT(snapshot.audits, 0u);
 }
 
 TEST(WatchdogOptionsEnv, DefaultsAreOffAndSane)
