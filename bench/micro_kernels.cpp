@@ -53,8 +53,7 @@ reportSpeedups()
 void
 applyBackendArgs(benchmark::internal::Benchmark *bench)
 {
-    for (auto backend : {kernels::Backend::Scalar, kernels::Backend::Sse42,
-                         kernels::Backend::Avx2}) {
+    for (auto backend : {kernels::Backend::Scalar, kernels::Backend::Avx2}) {
         if (kernels::backendSupported(backend))
             bench->Arg(static_cast<long>(backend));
     }

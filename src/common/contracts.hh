@@ -15,16 +15,10 @@
  *
  * A failed contract reports kind, condition, file:line and the
  * formatted message, then aborts (so death tests and core dumps both
- * work). Checks compile to nothing under NDEBUG unless MITHRA_CHECKED
- * is defined non-zero; the build system keeps MITHRA_CHECKED=1 on by
- * default (option MITHRA_CHECKED in CMake) because classifier and
- * simulator state is cheap to check relative to the modeled work.
- * `-DMITHRA_CHECKED=OFF` produces a maximum-speed release build with
- * every contract compiled out.
- *
- * When compiled out, the condition and message are still parsed (as
- * unevaluated operands), so variables used only in contracts do not
- * trigger -Wunused warnings and cannot bit-rot.
+ * work). Checks are compiled into every build, Release (NDEBUG)
+ * included: classifier and simulator state is cheap to check relative
+ * to the modeled work, and the statistical guarantee is only as good
+ * as the invariants these checks hold.
  */
 
 #pragma once
@@ -32,12 +26,6 @@
 #include <string>
 
 #include "common/logging.hh"
-
-#if !defined(NDEBUG) || (defined(MITHRA_CHECKED) && MITHRA_CHECKED)
-#define MITHRA_CHECKS_ENABLED 1
-#else
-#define MITHRA_CHECKS_ENABLED 0
-#endif
 
 namespace mithra::detail
 {
@@ -49,7 +37,6 @@ namespace mithra::detail
 
 } // namespace mithra::detail
 
-#if MITHRA_CHECKS_ENABLED
 #define MITHRA_CONTRACT_(kind, cond, ...)                                   \
     do {                                                                    \
         if (!(cond)) {                                                      \
@@ -58,13 +45,6 @@ namespace mithra::detail
                 ::mithra::detail::concat(__VA_ARGS__));                     \
         }                                                                   \
     } while (0)
-#else
-#define MITHRA_CONTRACT_(kind, cond, ...)                                   \
-    do {                                                                    \
-        (void)sizeof((cond) ? 1 : 0);                                       \
-        (void)sizeof(::mithra::detail::concat(__VA_ARGS__));                \
-    } while (0)
-#endif
 
 /** Check an internal invariant; see file comment for semantics. */
 #define MITHRA_ASSERT(cond, ...)                                            \

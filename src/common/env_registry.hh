@@ -59,7 +59,7 @@ inline constexpr std::array<VarInfo, 23> registry{{
      "sizes the worker pool (compile pipeline, threshold optimizer, "
      "trainers); `1` forces the exact serial code path; bitwise "
      "identical at any value"},
-    {"MITHRA_KERNELS", "`scalar`, `sse42`, `avx2`", "best supported",
+    {"MITHRA_KERNELS", "`scalar`, `avx2`", "best supported",
      "SIMD backend for the batch kernels (NPU MACs, MISR hashing, "
      "quantizer); every backend bitwise identical (`DESIGN.md` §10)"},
     {"MITHRA_SHARDS", "int in [1, 1024]", "thread count",

@@ -36,8 +36,6 @@ const detail::KernelOps &
 opsFor(Backend backend)
 {
 #if defined(__x86_64__) || defined(__i386__)
-    if (backend == Backend::Sse42)
-        return detail::sse42Ops();
     if (backend == Backend::Avx2)
         return detail::avx2Ops();
 #endif
@@ -51,12 +49,10 @@ parseBackendName(const char *name)
 {
     if (std::strcmp(name, "scalar") == 0)
         return Backend::Scalar;
-    if (std::strcmp(name, "sse42") == 0)
-        return Backend::Sse42;
     if (std::strcmp(name, "avx2") == 0)
         return Backend::Avx2;
     fatal("MITHRA_KERNELS=", name,
-          " is not a kernel backend (scalar|sse42|avx2)");
+          " is not a kernel backend (scalar|avx2)");
 }
 
 /** Pick the startup backend: MITHRA_KERNELS override or best. */
@@ -100,8 +96,6 @@ backendName(Backend backend)
     switch (backend) {
     case Backend::Scalar:
         return "scalar";
-    case Backend::Sse42:
-        return "sse42";
     case Backend::Avx2:
         return "avx2";
     }
@@ -114,8 +108,6 @@ backendSupported(Backend backend)
     if (backend == Backend::Scalar)
         return true;
 #if defined(__x86_64__) || defined(__i386__)
-    if (backend == Backend::Sse42)
-        return __builtin_cpu_supports("sse4.2") != 0;
     if (backend == Backend::Avx2)
         return __builtin_cpu_supports("avx2") != 0;
 #endif
@@ -125,11 +117,8 @@ backendSupported(Backend backend)
 Backend
 bestSupportedBackend()
 {
-    if (backendSupported(Backend::Avx2))
-        return Backend::Avx2;
-    if (backendSupported(Backend::Sse42))
-        return Backend::Sse42;
-    return Backend::Scalar;
+    return backendSupported(Backend::Avx2) ? Backend::Avx2
+                                           : Backend::Scalar;
 }
 
 Backend

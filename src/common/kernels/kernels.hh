@@ -7,8 +7,9 @@
  * signature hash over each invocation's quantized input codes
  * (§IV-A.1), and the input quantizer itself. This layer provides
  * batched primitives for all three with runtime-dispatched
- * implementations: a scalar reference, SSE4.2 and AVX2. Intrinsics are
- * confined to this directory (mithra-lint enforces the containment);
+ * implementations: a scalar reference and AVX2. Intrinsics are
+ * confined to kernels_avx2.cc (the no-intrinsics lint rule of
+ * mithra-analyze enforces the containment to this directory);
  * everything above calls the dispatched entry points below.
  *
  * Determinism contract (the reason this file exists instead of
@@ -27,11 +28,10 @@
  *        dot  = (m[0] + m[2]) + (m[1] + m[3])
  *
  *    The scalar reference implements exactly this order (compiled with
- *    -ffp-contract=off so no FMA contraction sneaks in), SSE4.2 keeps
- *    the eight lanes in two 4-wide registers, and AVX2 holds them in
- *    one 8-wide register — all three produce the same bit pattern for
- *    every input. Operands are multiplied then added; FMA is never
- *    used, at any -march.
+ *    -ffp-contract=off so no FMA contraction sneaks in) and AVX2
+ *    holds the eight lanes in one 8-wide register — both produce the
+ *    same bit pattern for every input. Operands are multiplied then
+ *    added; FMA is never used, at any -march.
  *  - Integer kernels (the batch MISR) are exactly the sequential
  *    register sequence of hw::Misr, lane-parallel across invocations.
  *  - Element-wise kernels (axpy, saxpby-style updates, quantization,
@@ -39,7 +39,7 @@
  *    width is bitwise identical by construction.
  *
  * The backend is selected once at startup: the best instruction set
- * the CPU supports, overridable with MITHRA_KERNELS=scalar|sse42|avx2.
+ * the CPU supports, overridable with MITHRA_KERNELS=scalar|avx2.
  * Benchmarks and tests may switch explicitly via setActiveBackend().
  *
  * Buffers fed to the GEMV kernels use the padded SoA layout: row
@@ -59,15 +59,18 @@
 namespace mithra::kernels
 {
 
-/** Kernel instruction-set backends, in ascending preference order. */
+/**
+ * Kernel instruction-set backends, in ascending preference order. The
+ * values are stable: the kernels.backend gauge reports them, and
+ * readers of /metrics map them back to names.
+ */
 enum class Backend
 {
     Scalar = 0,
-    Sse42 = 1,
     Avx2 = 2,
 };
 
-/** Stable lowercase name ("scalar", "sse42", "avx2"). */
+/** Stable lowercase name ("scalar", "avx2"). */
 const char *backendName(Backend backend);
 
 /** True when the running CPU can execute `backend`. */

@@ -2,9 +2,9 @@
  * @file
  * Internal backend plumbing for src/common/kernels.
  *
- * Each backend translation unit (kernels_scalar.cc, kernels_sse42.cc,
- * kernels_avx2.cc) fills one KernelOps table; kernels.cc selects one
- * table at startup and the public entry points indirect through it.
+ * Each backend translation unit (kernels_scalar.cc, kernels_avx2.cc)
+ * fills one KernelOps table; kernels.cc selects one table at startup
+ * and the public entry points indirect through it.
  * The inline helpers here are the *specification* implementations the
  * SIMD backends reuse for row tails — plain C++, no intrinsics (the
  * intrinsics-containment lint rule also covers this header).
@@ -48,8 +48,6 @@ struct KernelOps
 const KernelOps &scalarOps();
 
 #if defined(__x86_64__) || defined(__i386__)
-/** SSE4.2 backend (compiled only on x86). */
-const KernelOps &sse42Ops();
 /** AVX2 backend (compiled only on x86). */
 const KernelOps &avx2Ops();
 #endif

@@ -130,7 +130,6 @@ class ThreadPool
         }
         insideRegion = wasInside;
 
-#if MITHRA_TELEMETRY_ENABLED
         // Placement accounting: how many chunks this thread pulled off
         // the cursor. Placement is dynamic (only chunk *identity* is
         // static), so these are volatile stats — excluded from
@@ -145,9 +144,6 @@ class ThreadPool
                     true)
                 .add(static_cast<std::int64_t>(executed));
         }
-#else
-        (void)executed;
-#endif
     }
 
     void waitForCompletion()

@@ -127,7 +127,6 @@ Pipeline::compile(const std::string &benchmarkName) const
             bench.npuTopology(), trainIn, trainOut,
             bench.npuTrainerOptions());
     }
-#if MITHRA_TELEMETRY_ENABLED
     // Keyed per benchmark: workloads may compile concurrently (the
     // experiment runner's prefetch), so a shared last-write-wins gauge
     // would depend on completion order and break the bitwise
@@ -135,7 +134,6 @@ Pipeline::compile(const std::string &benchmarkName) const
     telemetry::StatsRegistry::global()
         .gauge("core.pipeline.npu_train_mse." + benchmarkName)
         .set(workload.npuTrainMse);
-#endif
 
     // Attach approximate outputs to every trace and build the
     // threshold problem. Each dataset's attach/entry/loss work only

@@ -50,6 +50,9 @@ shardSeed(std::uint64_t baseSeed, std::size_t shard)
 namespace
 {
 
+/** Invocations per decideBatch() block inside a shard. */
+constexpr std::size_t decisionBlock = 512;
+
 /**
  * The serial accounting pass over one decided block: watchdog
  * routing/audits, oracle false-decision counts and the online-sampling
@@ -147,7 +150,6 @@ runShardedDecisions(Classifier &classifier,
     MITHRA_EXPECTS(dogs.empty() || dogs.size() == plan.shards,
                    "need one watchdog per shard or none, got ",
                    dogs.size(), " for ", plan.shards, " shards");
-    MITHRA_EXPECTS(options.blockSize >= 1, "empty decision block");
 
     tallies.assign(plan.shards, ShardTally{});
     const float *inputs = trace.inputsFlat().data();
@@ -163,11 +165,9 @@ runShardedDecisions(Classifier &classifier,
         tally.invocations = shardEnd - shardBegin;
 
         for (std::size_t blockBegin = shardBegin;
-             blockBegin < shardEnd; blockBegin += options.blockSize) {
+             blockBegin < shardEnd; blockBegin += decisionBlock) {
             const std::size_t blockEnd =
-                blockBegin + options.blockSize < shardEnd
-                ? blockBegin + options.blockSize
-                : shardEnd;
+                std::min(blockBegin + decisionBlock, shardEnd);
             const std::size_t count = blockEnd - blockBegin;
 
             // Batch-decide straight into the decisions buffer (shards

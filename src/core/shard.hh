@@ -148,8 +148,6 @@ struct DecisionLoopOptions
      * datasets are partitioned into shards.
      */
     std::uint64_t streamOffset = 0;
-    /** Invocations per decideBatch() block inside a shard. */
-    std::size_t blockSize = 512;
 };
 
 /**

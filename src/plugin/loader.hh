@@ -13,7 +13,7 @@
  * against include/mithra_plugin.h), and a register hook that returns
  * nonzero.
  *
- * dlopen/dlsym live here and only here — mithra-lint's no-dlopen rule
+ * dlopen/dlsym live here and only here — the no-dlopen lint rule
  * confines runtime code loading to src/plugin so the rest of the
  * library stays statically analyzable.
  */

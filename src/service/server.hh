@@ -18,7 +18,7 @@
  *
  * Shell-vs-core boundary: this directory is the ONLY src/ home of
  * wall-clock time, sockets and scheduling nondeterminism (enforced
- * statically by mithra-lint's no-raw-timing policy and
+ * statically by the no-raw-timing lint rule and
  * mithra-analyze's taint quarantine). Everything the endpoints
  * *compute* — decisions, certificates, metrics documents — is
  * produced by the deterministic core: a pure function of the request

@@ -17,6 +17,12 @@
  * are inherently nondeterministic and only appear when explicitly
  * requested (RunReport timing section, MITHRA_REPORT_TIMING=1).
  *
+ * CPU time (the run report's `cpu_ns`) is the CPU clock of the thread
+ * that opened the span, read at entry and exit. It does not include
+ * work that pool workers do for the span's parallelFor regions, so a
+ * span over a parallel region can report cpu_ns near wall_ns at any
+ * thread count.
+ *
  * Flame-chart export: when MITHRA_TRACE=<path> is set in the
  * environment (or setTracePath() is called), every span entry/exit is
  * buffered as a complete ("ph":"X") Chrome trace event and written to
@@ -24,7 +30,7 @@
  * chrome://tracing or https://ui.perfetto.dev.
  *
  * This file is the tree's sanctioned timing implementation: the
- * mithra-lint no-raw-timing rule forbids std::chrono / clock() /
+ * no-raw-timing lint rule forbids std::chrono / clock() /
  * clock_gettime in src/ outside src/telemetry, so every measurement
  * flows through spans (or the clock helpers below).
  */
@@ -47,7 +53,7 @@ namespace mithra::telemetry
 /** Monotonic wall clock, nanoseconds since an arbitrary epoch. */
 std::int64_t wallClockNs();
 
-/** Per-thread CPU clock, nanoseconds. */
+/** CPU clock of the calling thread, nanoseconds. */
 std::int64_t threadCpuClockNs();
 
 /** Aggregated timing of one span name. */

@@ -8,7 +8,7 @@
  *
  *  - **Sorted iteration.** Stats live in ordered maps keyed by name;
  *    every dump and JSON export walks them in sorted-name order. No
- *    unordered containers anywhere (per the mithra-lint rules).
+ *    unordered containers anywhere (per the lint rules).
  *  - **Integer accumulation.** Counters and histogram buckets are
  *    64-bit integers, so concurrent accumulation is exact regardless
  *    of interleaving: the merged total is bitwise identical at any
@@ -25,8 +25,7 @@
  *
  * Hot paths register through the MITHRA_COUNT / MITHRA_GAUGE_SET /
  * MITHRA_HIST macros in telemetry/telemetry.hh, which cache the stat
- * reference in a function-local static and compile to nothing when
- * MITHRA_TELEMETRY is OFF.
+ * reference in a function-local static.
  */
 
 #pragma once

@@ -20,10 +20,6 @@
  * loops; instrument at phase/bulk granularity there (pass the bulk
  * count to MITHRA_COUNT instead of counting per element).
  *
- * With the CMake option MITHRA_TELEMETRY=OFF every macro compiles to a
- * no-op; condition arguments stay parsed (unevaluated) so
- * instrumentation cannot bit-rot, mirroring common/contracts.hh.
- *
  * This header defines only macros (which expand to fully qualified
  * ::mithra::telemetry names), so it opens no namespace itself.
  * mithra-lint: allow(namespace-mithra)
@@ -31,22 +27,12 @@
 
 #pragma once
 
-// MITHRA_TELEMETRY is defined (=1) by the build system when the
-// telemetry option is ON (the default).
-#if defined(MITHRA_TELEMETRY) && MITHRA_TELEMETRY
-#define MITHRA_TELEMETRY_ENABLED 1
-#else
-#define MITHRA_TELEMETRY_ENABLED 0
-#endif
-
 #include "telemetry/run_report.hh"
 #include "telemetry/span.hh"
 #include "telemetry/stats.hh"
 
 #define MITHRA_TELEMETRY_CAT2_(a, b) a##b
 #define MITHRA_TELEMETRY_CAT_(a, b) MITHRA_TELEMETRY_CAT2_(a, b)
-
-#if MITHRA_TELEMETRY_ENABLED
 
 /** Time the enclosing scope under the given span name. */
 #define MITHRA_SPAN(name)                                                   \
@@ -89,38 +75,3 @@
                 name, lo, hi, buckets);                                     \
         mithraHistogram_.record(static_cast<double>(value));                \
     } while (0)
-
-#else // !MITHRA_TELEMETRY_ENABLED
-
-// Compiled out, but arguments stay parsed as unevaluated operands so
-// they cannot bit-rot (same technique as common/contracts.hh).
-#define MITHRA_SPAN(name)                                                   \
-    do {                                                                    \
-        (void)sizeof(name);                                                 \
-    } while (0)
-
-#define MITHRA_COUNT(name, delta)                                           \
-    do {                                                                    \
-        (void)sizeof(name);                                                 \
-        (void)sizeof(delta);                                                \
-    } while (0)
-
-#define MITHRA_COUNT_DYNAMIC(name, delta)                                   \
-    do {                                                                    \
-        (void)sizeof(name);                                                 \
-        (void)sizeof(delta);                                                \
-    } while (0)
-
-#define MITHRA_GAUGE_SET(name, value)                                       \
-    do {                                                                    \
-        (void)sizeof(name);                                                 \
-        (void)sizeof(value);                                                \
-    } while (0)
-
-#define MITHRA_HIST(name, lo, hi, buckets, value)                           \
-    do {                                                                    \
-        (void)sizeof(name);                                                 \
-        (void)sizeof(value);                                                \
-    } while (0)
-
-#endif // MITHRA_TELEMETRY_ENABLED

@@ -1,9 +1,10 @@
 /**
  * @file
- * mithra-lint rule tests: each rule is fed a known-bad snippet and
- * must fire with the right rule id and file:line, and a known-good
- * variant must stay clean. Snippets live in raw strings, which the
- * lint tokenizer strips — so this file itself lints clean.
+ * Lint rule tests (tools/mithra-analyze/lint.hh): each rule is fed a
+ * known-bad snippet and must fire with the right rule id and
+ * file:line, and a known-good variant must stay clean. Snippets live
+ * in raw strings, which the lint tokenizer strips — so this file
+ * itself lints clean.
  */
 
 #include <gtest/gtest.h>
@@ -647,7 +648,7 @@ TEST(Lint, PolicySelection)
     EXPECT_TRUE(policyForPath("src/common/logging.hh").loggingImpl);
     EXPECT_TRUE(policyForPath("src/telemetry/span.cc").timingImpl);
     EXPECT_FALSE(policyForPath("src/core/pipeline.cc").timingImpl);
-    EXPECT_TRUE(policyForPath("src/common/kernels/kernels_sse42.cc")
+    EXPECT_TRUE(policyForPath("src/common/kernels/kernels_avx2.cc")
                     .kernelsImpl);
     EXPECT_FALSE(policyForPath("src/common/parallel.hh").kernelsImpl);
     EXPECT_TRUE(policyForPath("src/plugin/loader.cc").pluginImpl);

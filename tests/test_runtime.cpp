@@ -335,7 +335,6 @@ TEST(ShardedRuntime, RunShardedDecisionsMatchesSerialReference)
     std::vector<watchdog::Watchdog> noDogs;
     DecisionLoopOptions loop;
     loop.oracleThreshold = e.threshold;
-    loop.blockSize = 64;
     std::vector<std::uint8_t> decisions(trace.count(), 0);
     std::vector<ShardTally> tallies;
     runShardedDecisions(sharded, trace, plan, noDogs, loop,

@@ -486,8 +486,6 @@ TEST(WatchdogOptionsEnv, DefaultsAreOffAndSane)
     EXPECT_LE(opts.recoverMargin, 1.0);
 }
 
-#if MITHRA_CHECKS_ENABLED
-
 TEST(WatchdogDeath, SequentialBoundRejectsInvalidConfidence)
 {
     EXPECT_DEATH(stats::SequentialBinomialBound bound(1.5),
@@ -514,5 +512,3 @@ TEST(WatchdogDeath, RouteWithUnreportedAuditIsRejected)
     ASSERT_TRUE(routing.audited());
     EXPECT_DEATH(dog.route(true), "unreported");
 }
-
-#endif // MITHRA_CHECKS_ENABLED

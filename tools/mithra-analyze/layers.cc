@@ -238,12 +238,11 @@ checkLayering(const LayerSpec &spec, const std::vector<SourceFile> &files)
         for (const lex::IncludeDirective &include : scanned.includes) {
             // Resolve like the build does: the including file's
             // directory, then the src/ include root, the repo root,
-            // and the tool library roots.
+            // and the tool library root.
             const std::string dir = dirName(file.path);
             std::size_t target = static_cast<std::size_t>(-1);
             for (const std::string &base :
                  {dir, std::string("src"), std::string(),
-                  std::string("tools/mithra-lint"),
                   std::string("tools/mithra-analyze")}) {
                 const std::string candidate = normalPath(
                     base.empty() ? include.target

@@ -2,7 +2,7 @@
  * @file
  * Pass 2 — determinism taint.
  *
- * mithra-lint bans most nondeterminism sources outright, but a banned
+ * The lint rules ban most nondeterminism sources outright, but a banned
  * token is not the whole story: a value can pick up nondeterminism
  * legitimately (placement stats, timing under telemetry's control)
  * and then *flow* somewhere it must never reach — a deterministic
