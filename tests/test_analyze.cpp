@@ -4,14 +4,19 @@
  * units seeded with one known violation and must fire with the right
  * rule id and file:line; a known-good variant must stay clean.
  * Snippets live in raw strings, which the shared tokenizer strips —
- * so this file itself scans clean under both tools.
+ * so this file itself scans clean under the lint rules and the passes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analyze.hh"
 #include "lex.hh"
@@ -711,6 +716,81 @@ TEST(AnalyzeEnv, RenderedTableRoundTrips)
               std::string::npos);
     // The rendered table satisfies the README check by construction.
     EXPECT_TRUE(checkReadme(registry, "README.md", table).empty());
+}
+
+// ---------------------------------------------------------------- driver
+
+void
+writeFile(const std::filesystem::path &path, const std::string &text)
+{
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream(path, std::ios::binary) << text;
+}
+
+/**
+ * A tree that passes every semantic pass, with one lint violation in
+ * each of src/, bench/, tests/ and include/ and one in tools/, which
+ * the lint rules do not cover. bench/ and tests/ files have no
+ * namespace, so a src/ policy leaking onto them would add findings.
+ */
+void
+writeSeededTree(const std::filesystem::path &root)
+{
+    std::filesystem::remove_all(root);
+    writeFile(root / "tools/mithra-analyze/layers.txt",
+              "layer common src/common/\n"
+              "layer core   src/core/\n"
+              "layer tools  tools/\n"
+              "layer bench  bench/\n"
+              "layer tests  tests/\n");
+    const std::string registry =
+        std::string("#pragma once\n#include <array>\n"
+                    "namespace mithra::env\n{\n")
+        + registrySource + "} // namespace mithra::env\n";
+    writeFile(root / "src/common/env_registry.hh", registry);
+    writeFile(root / "README.md",
+              renderEnvTable(parseEnvRegistry(registry)));
+    writeFile(root / "src/core/a.cc",
+              "namespace mithra\n{\nint f() { return rand(); }\n}\n");
+    writeFile(root / "bench/b.cc", "int f() { return rand(); }\n");
+    writeFile(root / "tests/t.cpp", "int f() { return rand(); }\n");
+    writeFile(root / "include/p.h",
+              "#ifndef P_H\n#define P_H\n// not C89\n#endif\n");
+    // A header without `#pragma once': header hygiene would fire on it
+    // under any root the lint rules cover.
+    writeFile(root / "tools/x.hh", "int f();\n");
+}
+
+TEST(AnalyzeTree, LintsSrcBenchTestsAndIncludeButNotTools)
+{
+    const std::filesystem::path scratch =
+        std::filesystem::path(::testing::TempDir())
+        / ("mithra-analyze-tree-" + std::to_string(::getpid()));
+    // The second checkout sits under a directory named src/: policies
+    // must follow repo-relative paths, not the checkout location.
+    for (const std::filesystem::path &root :
+         {scratch / "plain", scratch / "src" / "checkout"}) {
+        SCOPED_TRACE(root.string());
+        writeSeededTree(root);
+        const mithra::analyze::TreeReport report =
+            mithra::analyze::analyzeTree(root.string());
+        EXPECT_EQ(report.fileCount, 6u);
+
+        const std::vector<std::pair<std::string, std::string>> expected{
+            {"bench/b.cc", "no-rand"},
+            {"include/p.h", "c-abi-header"},
+            {"src/core/a.cc", "no-rand"},
+            {"tests/t.cpp", "no-rand"},
+        };
+        std::vector<std::pair<std::string, std::string>> got;
+        for (const Diagnostic &d : report.diagnostics) {
+            const std::string prefix = root.string() + "/";
+            EXPECT_EQ(d.file.rfind(prefix, 0), 0u) << d.file;
+            got.emplace_back(d.file.substr(prefix.size()), d.rule);
+        }
+        EXPECT_EQ(got, expected);
+    }
+    std::filesystem::remove_all(scratch);
 }
 
 // ------------------------------------------------- diagnostics & lexer
