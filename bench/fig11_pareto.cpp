@@ -74,7 +74,7 @@ runExhaustiveSweep(core::ExperimentRunner &runner)
         }
     }
 
-    dse::DseOptions dseOptions = dse::DseOptions::fromEnv();
+    dse::DseOptions dseOptions;
     dseOptions.exhaustive = true;
     const dse::Explorer explorer(dseOptions);
     std::vector<dse::DseResult> results;
@@ -223,7 +223,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (exhaustive || dse::DseOptions::fromEnv().exhaustive) {
+    if (exhaustive) {
         runExhaustiveSweep(runner);
         bench::writeBenchReport("fig11_pareto");
         return 0;

@@ -190,8 +190,9 @@ main()
     phase2.print();
     if (!allIdentical)
         std::printf("\nWARNING: a pruned front diverged from its "
-                    "exhaustive reference; widen MITHRA_DSE_MARGIN / "
-                    "MITHRA_DSE_QUALITY_MARGIN.\n");
+                    "exhaustive reference; the surrogate's residual "
+                    "bound did not hold for the default pruning "
+                    "margins (DESIGN.md §15).\n");
 
     bench::writeBenchReport(
         "micro_dse",

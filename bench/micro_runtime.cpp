@@ -10,7 +10,7 @@
  * run_benches.sh and the CI perf smoke job):
  *
  *   runtime.decisions_per_sec   routed decisions/sec, watchdog off
- *   runtime.shard_count         shards used (MITHRA_SHARDS or threads)
+ *   runtime.shard_count         shards used (one per worker thread)
  *   runtime.merge_overhead_pct  DecisionEngine::evidence() (the
  *                               evidence merge) as a percentage of
  *                               decision time
@@ -100,7 +100,7 @@ main()
     const axbench::InvocationTrace trace = makeTrace(rng);
     TableClassifier table = trainTable(trace, threshold);
 
-    const std::size_t shardCount = defaultShardCount();
+    const std::size_t shardCount = parallelThreadCount();
     DecisionLoopOptions loop;
     loop.oracleThreshold = threshold;
     std::vector<std::uint8_t> decisions(trace.count(), 0);

@@ -40,7 +40,7 @@
  * no reads of ambient process state, no allocation-address-dependent
  * behaviour. Two processes loading the same plugin must produce
  * bitwise-identical datasets, traces, and quality scores at any
- * MITHRA_THREADS / MITHRA_SHARDS setting.
+ * MITHRA_THREADS setting.
  */
 
 #ifndef MITHRA_PLUGIN_H

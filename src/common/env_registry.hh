@@ -16,8 +16,8 @@
  *    environment table (regenerate the table with
  *    `mithra-analyze --env-table`).
  *
- *  - The typed accessors (`countIn`, `realIn`, `flag`, `seed`,
- *    `text`) range-validate on read and fail a MITHRA_EXPECTS
+ *  - The typed accessors (`countIn`, `realIn`, `flag`, `text`)
+ *    range-validate on read and fail a MITHRA_EXPECTS
  *    contract on malformed values, so a typo like MITHRA_THREADS=1e3
  *    dies with the offending text instead of half-applying.
  *
@@ -51,7 +51,7 @@ struct VarInfo
  * README table presents them. mithra-analyze checks both directions:
  * tree use -> registry entry, registry entry -> README row.
  */
-inline constexpr std::array<VarInfo, 23> registry{{
+inline constexpr std::array<VarInfo, 13> registry{{
     {"MITHRA_SCALE", "float in (0, 100]", "`1.0`",
      "scales dataset counts/sizes; 1.0 = 250 compile + 250 validation "
      "datasets per benchmark, `0.1` ≈ minutes-long smoke run"},
@@ -62,10 +62,6 @@ inline constexpr std::array<VarInfo, 23> registry{{
     {"MITHRA_KERNELS", "`scalar`, `avx2`", "best supported",
      "SIMD backend for the batch kernels (NPU MACs, MISR hashing, "
      "quantizer); every backend bitwise identical (`DESIGN.md` §10)"},
-    {"MITHRA_SHARDS", "int in [1, 1024]", "thread count",
-     "shard count of the runtime decision loop (`DESIGN.md` §12); "
-     "bitwise identical at any value with the watchdog off, semantic "
-     "configuration with it on"},
     {"MITHRA_CACHE", "path", "`.mithra-cache.tsv`",
      "shared experiment result cache; delete to recompute"},
     {"MITHRA_PLUGINS", "colon-separated paths", "none",
@@ -79,33 +75,6 @@ inline constexpr std::array<VarInfo, 23> registry{{
     {"MITHRA_TRACE", "path", "off",
      "buffer every telemetry span as a Chrome trace-event file "
      "(`chrome://tracing`, Perfetto)"},
-    {"MITHRA_WATCHDOG", "flag", "off",
-     "enable the runtime guarantee watchdog (`DESIGN.md` §11); off is "
-     "bit-for-bit the legacy runtime"},
-    {"MITHRA_WATCHDOG_RATE", "float in (0, 1)", "`0.02`",
-     "fraction of accelerated invocations audited while HEALTHY"},
-    {"MITHRA_WATCHDOG_MAX_VIOLATION", "float in (0, 1)", "`0.1`",
-     "allowed violation rate among accelerated invocations — the "
-     "contract the watchdog patrols"},
-    {"MITHRA_WATCHDOG_CONFIDENCE", "float in (0, 1)", "`0.95`",
-     "confidence of the sequential Clopper–Pearson envelope per "
-     "monitoring epoch"},
-    {"MITHRA_WATCHDOG_SEED", "uint64", "`0xd09`",
-     "seed of the deterministic audit schedule"},
-    {"MITHRA_DSE_MARGIN", "float in [0, 1)", "`0.02`",
-     "invocation-rate loss the design-space explorer may trade for "
-     "pruning: a pruned candidate's true rate exceeds the best "
-     "cheaper measured rate by at most this much while the surrogate "
-     "residual bound holds (`DESIGN.md` §15)"},
-    {"MITHRA_DSE_QUALITY_MARGIN", "float in [0, 1)", "`0.05`",
-     "quality-met slack the explorer may trade when pruning "
-     "predicted-infeasible candidates"},
-    {"MITHRA_DSE_SEED_EVALS", "int in [1, 4096]", "`12`",
-     "exact evaluations the explorer spends seeding the surrogate fit "
-     "before pruning"},
-    {"MITHRA_DSE_EXHAUSTIVE", "flag", "off",
-     "force the explorer to evaluate every candidate exactly (the "
-     "brute-force reference; no surrogate, no pruning)"},
     {"MITHRA_SERVE_PORT", "int in [0, 65535]", "`0`",
      "TCP port `mithra-serve` binds (`DESIGN.md` §14); `0` picks an "
      "ephemeral port, printed on stdout and via `--port-file`"},
@@ -195,20 +164,6 @@ flag(const char *name, bool fallback = false)
     if (!value)
         return fallback;
     return value[0] != '\0' && value[0] != '0';
-}
-
-/** uint64 seed; decimal / 0x hex / 0 octal accepted. */
-inline std::uint64_t
-seed(const char *name, std::uint64_t fallback)
-{
-    const char *value = raw(name);
-    if (!value)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 0);
-    MITHRA_EXPECTS(end != value && *end == '\0', name,
-                   " must be an integer, got `", value, "'");
-    return static_cast<std::uint64_t>(parsed);
 }
 
 /** Raw string value; `fallback` (may be nullptr) when unset/empty. */

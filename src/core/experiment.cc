@@ -270,20 +270,6 @@ ExperimentRunner::cacheKey(const std::string &benchmark,
        << experimentScale() << ":d"
        << pipeline.options().compileDatasetCount << ":x"
        << pipeline.options().seed;
-    // The watchdog changes what an evaluation measures (audit runs
-    // feed the cost model), so a watchdog-enabled run must never
-    // share a cache line with a plain one. The shard count joins the
-    // suffix because each shard owns an independently seeded watchdog:
-    // with the watchdog on, MITHRA_SHARDS is semantic configuration.
-    // Watchdog-off evaluations are shard-invariant, so they share one
-    // key at any shard count.
-    const watchdog::WatchdogOptions wd = watchdog::WatchdogOptions::fromEnv();
-    if (wd.enabled) {
-        os << ":wd" << wd.baseAuditRate << ',' << wd.suspectAuditRate
-           << ',' << wd.degradedAuditRate << ',' << wd.maxViolationRate
-           << ',' << wd.confidence << ',' << wd.seed << ",n"
-           << defaultShardCount();
-    }
     return os.str();
 }
 
@@ -416,10 +402,8 @@ ExperimentRunner::run(const std::string &benchmark,
 
     LoadedWorkload &entry = loaded(benchmark);
     QualityPackage &pkg = package(entry, spec);
-    EvaluationOptions evalOptions;
-    evalOptions.watchdog = watchdog::WatchdogOptions::fromEnv();
     const Evaluator evaluator(entry.workload, spec,
-                              pkg.threshold.threshold, evalOptions);
+                              pkg.threshold.threshold);
 
     ExperimentRecord record;
     record.threshold = pkg.threshold.threshold;
@@ -531,10 +515,8 @@ ExperimentRunner::runMany(const std::string &benchmark,
     QualityPackage &pkg = package(entry, spec);
     const TrainingData data = pipeline.makeTrainingData(
         entry.workload, pkg.threshold.threshold);
-    EvaluationOptions evalOptions;
-    evalOptions.watchdog = watchdog::WatchdogOptions::fromEnv();
     const Evaluator evaluator(entry.workload, spec,
-                              pkg.threshold.threshold, evalOptions);
+                              pkg.threshold.threshold);
 
     parallelFor(0, fan.size(), 1, [&](std::size_t slot) {
         const std::size_t at = fan[slot];

@@ -8,12 +8,23 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/scale.hh"
+#include "core/shard.hh"
 #include "stats/clopper_pearson.hh"
 #include "stats/summary.hh"
 #include "telemetry/telemetry.hh"
 
 namespace mithra::core
 {
+
+namespace
+{
+
+/** Fraction of invocations whose true error is sampled online. */
+constexpr double onlineSampleRate = 0.01;
+/** Seed of the online-sampling schedule and of random filtering. */
+constexpr std::uint64_t evaluationSeed = 0xe7a1;
+
+} // namespace
 
 std::size_t
 ValidationSet::totalInvocations() const
@@ -49,29 +60,12 @@ makeValidationSet(const CompiledWorkload &workload, std::size_t count)
 }
 
 Evaluator::Evaluator(const CompiledWorkload &workloadIn,
-                     const QualitySpec &specIn, double thresholdIn,
-                     const EvaluationOptions &optionsIn)
+                     const QualitySpec &specIn, double thresholdIn)
     : workload(workloadIn), spec(specIn), threshold(thresholdIn),
-      options(optionsIn),
       systemSim(sim::CoreModel{workloadIn.coreParams},
                 workloadIn.systemParams)
 {
 }
-
-namespace
-{
-
-/** "runtime.shard007.audits" — zero-padded so report rows sort. */
-std::string
-shardCounterName(std::size_t shard, const char *stat)
-{
-    std::string id = std::to_string(shard);
-    while (id.size() < 3)
-        id.insert(id.begin(), '0');
-    return "runtime.shard" + id + "." + stat;
-}
-
-} // namespace
 
 DesignEvaluation
 Evaluator::evaluate(Classifier &classifier,
@@ -84,22 +78,22 @@ Evaluator::evaluate(Classifier &classifier,
     eval.kind = classifier.kind();
     eval.trials = validation.entries.size();
 
-    const std::size_t shardCount =
-        options.shards ? options.shards : defaultShardCount();
+    // One shard per worker: with the watchdog off the result is
+    // bitwise identical at any shard count (DESIGN.md §12).
+    const std::size_t shardCount = parallelThreadCount();
     MITHRA_GAUGE_SET("runtime.shards",
                      static_cast<double>(shardCount));
 
     std::vector<double> losses;
     losses.reserve(eval.trials);
 
-    // The validation suite is one long deployment stream: the
-    // engine's per-shard watchdogs, totals and sampling position
-    // persist across datasets.
+    // The validation suite is one long stream: the engine's sampling
+    // position persists across datasets.
     DecisionLoopOptions loop;
     loop.oracleThreshold = threshold;
-    loop.onlineSampleRate = options.onlineSampleRate;
-    loop.sampleSeed = options.seed ^ 0x0b5e7feULL;
-    DecisionEngine engine(shardCount, options.watchdog, loop);
+    loop.onlineSampleRate = onlineSampleRate;
+    loop.sampleSeed = evaluationSeed ^ 0x0b5e7feULL;
+    DecisionEngine engine(shardCount, watchdog::WatchdogOptions{}, loop);
 
     std::size_t accelTotal = 0;
     std::size_t invocationTotal = 0;
@@ -134,18 +128,9 @@ Evaluator::evaluate(Classifier &classifier,
         if (loss <= spec.maxQualityLossPct)
             ++eval.successes;
 
-        // Cost accounting for this dataset. Audits are not free: an
-        // audited accelerated invocation also runs the precise
-        // function, and a DEGRADED shadow audit also runs the (gated)
-        // accelerator. They are charged as overhead on top of run()
-        // because they duplicate work without changing routing.
-        auto totals = systemSim.run(
+        eval.totals += systemSim.run(
             workload.profile, classifier.cost(), tally.accelerated,
             trace.count() - tally.accelerated);
-        totals += systemSim.auditOverhead(
-            workload.profile, tally.auditPreciseRuns,
-            tally.shadowAccelRuns);
-        eval.totals += totals;
         eval.baselineTotals += systemSim.baseline(workload.profile);
     }
 
@@ -173,19 +158,6 @@ Evaluator::evaluate(Classifier &classifier,
                                                 eval.totals);
     eval.edpImprovement = sim::edpImprovement(eval.baselineTotals,
                                               eval.totals);
-    eval.sharded = engine.evidence();
-    if (eval.sharded.watchdogEnabled) {
-        for (std::size_t k = 0; k < shardCount; ++k) {
-            const watchdog::Snapshot &snap =
-                eval.sharded.shards[k].watchdog;
-            MITHRA_COUNT_DYNAMIC(shardCounterName(k, "audits"),
-                                 snap.audits);
-            MITHRA_COUNT_DYNAMIC(shardCounterName(k, "violations"),
-                                 snap.violations);
-        }
-        MITHRA_GAUGE_SET("watchdog.final_state",
-                         static_cast<double>(eval.sharded.combinedState));
-    }
     return eval;
 }
 
@@ -200,7 +172,7 @@ DesignEvaluation
 Evaluator::evaluateRandom(const ValidationSet &validation,
                           double preciseFraction) const
 {
-    RandomFilterClassifier random(preciseFraction, options.seed);
+    RandomFilterClassifier random(preciseFraction, evaluationSeed);
     return evaluate(random, validation);
 }
 

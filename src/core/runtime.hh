@@ -15,10 +15,12 @@
  * precise baseline, and false positives/negatives against the oracle.
  *
  * The decision loop itself is sharded and batch-first (core/shard.hh):
- * each dataset's invocation stream splits into MITHRA_SHARDS
- * deterministic contiguous shards that decide via
- * Classifier::decideBatch() and run concurrently, with slot-ordered
- * evidence merging. See DESIGN.md §12 for the determinism contract.
+ * each dataset's invocation stream splits into one deterministic
+ * contiguous shard per worker thread; the shards decide via
+ * Classifier::decideBatch() and run concurrently. Evaluation runs
+ * without the runtime watchdog, as the paper's figures do, so the
+ * result is bitwise identical at any thread count. See DESIGN.md §12
+ * for the determinism contract.
  */
 
 #pragma once
@@ -28,8 +30,6 @@
 
 #include "core/classifier.hh"
 #include "core/pipeline.hh"
-#include "core/shard.hh"
-#include "core/watchdog/watchdog.hh"
 
 namespace mithra::core
 {
@@ -73,32 +73,6 @@ axbench::InvocationTrace traceFromInputs(const CompiledWorkload &workload,
                                          std::size_t width,
                                          std::size_t count);
 
-/** Evaluation knobs. */
-struct EvaluationOptions
-{
-    /** Fraction of invocations whose true error is sampled online. */
-    double onlineSampleRate = 0.01;
-    std::uint64_t seed = 0xe7a1;
-    /**
-     * Shards each dataset's invocation stream is split into; 0 means
-     * defaultShardCount() (the MITHRA_SHARDS environment variable,
-     * falling back to the parallel substrate's thread count). With the
-     * watchdog off the result is bitwise identical for any value; with
-     * the watchdog on the shard count is semantic configuration (each
-     * shard owns an independently seeded watchdog) and joins the
-     * experiment cache key.
-     */
-    std::size_t shards = 0;
-    /**
-     * Runtime guarantee watchdog (disabled by default, in which case
-     * evaluation is bit-for-bit identical to a watchdog-less build).
-     * Audits are charged to the cost model: an audited accelerated
-     * invocation also pays for a precise run, and a DEGRADED shadow
-     * audit also pays for an accelerator run.
-     */
-    watchdog::WatchdogOptions watchdog{};
-};
-
 /** Everything measured for one (classifier, quality spec) pair. */
 struct DesignEvaluation
 {
@@ -124,13 +98,6 @@ struct DesignEvaluation
     /** Raw totals (summed over the validation sets). */
     sim::RunTotals totals{};
     sim::RunTotals baselineTotals{};
-    /**
-     * The decision engine's report: per-shard totals and, with the
-     * watchdog on, the merged evidence (envelope intersection at the
-     * split alpha). Deliberately NOT part of the experiment cache
-     * serialization (the cache format predates the watchdog).
-     */
-    ShardedEvaluation sharded{};
 };
 
 /** Measures classifiers over a validation set. */
@@ -143,8 +110,7 @@ class Evaluator
      * @param threshold the tuned knob (defines the oracle's decisions)
      */
     Evaluator(const CompiledWorkload &workload, const QualitySpec &spec,
-              double threshold,
-              const EvaluationOptions &options = EvaluationOptions{});
+              double threshold);
 
     /** Run one classifier over the validation set. */
     DesignEvaluation evaluate(Classifier &classifier,
@@ -168,7 +134,6 @@ class Evaluator
     const CompiledWorkload &workload;
     QualitySpec spec;
     double threshold;
-    EvaluationOptions options;
     sim::SystemSimulator systemSim;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hh"
-#include "common/env_registry.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -26,13 +25,6 @@ ShardPlan::begin(std::size_t k) const
     const std::size_t base = total / shards;
     const std::size_t rem = total % shards;
     return k * base + (k < rem ? k : rem);
-}
-
-std::size_t
-defaultShardCount()
-{
-    return env::countIn("MITHRA_SHARDS", 1, 1024,
-                        parallelThreadCount());
 }
 
 std::uint64_t
@@ -76,13 +68,10 @@ accountBlock(const float *errors, watchdog::Watchdog *dog,
             // forces the precise path) and may schedule an audit,
             // served here from the trace's cached true error.
             const watchdog::Routing routing = dog->route(!precise);
-            if (routing.auditPrecise)
-                ++tally.auditPreciseRuns;
-            if (routing.auditShadowAccel)
-                ++tally.shadowAccelRuns;
             if (!precise && !routing.useAccel)
                 ++tally.forcedPrecise;
             if (routing.audited()) {
+                ++tally.audits;
                 const bool wasDegraded = dog->degraded();
                 if (dog->reportAudit(errors[i]))
                     ++tally.violations;
@@ -275,8 +264,7 @@ DecisionEngine::decide(Classifier &classifier,
         call.accelerated += tally.accelerated;
         call.falsePositives += tally.falsePositives;
         call.falseNegatives += tally.falseNegatives;
-        call.auditPreciseRuns += tally.auditPreciseRuns;
-        call.shadowAccelRuns += tally.shadowAccelRuns;
+        call.audits += tally.audits;
         call.violations += tally.violations;
         call.forcedPrecise += tally.forcedPrecise;
         call.firstTripAt = std::min(call.firstTripAt, tally.firstTripAt);

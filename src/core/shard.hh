@@ -34,9 +34,10 @@
  *  - With the watchdog on, each shard owns a watchdog whose state
  *    machine consumes that shard's subsequence, so results are bitwise
  *    identical across thread counts at a FIXED shard count; changing
- *    MITHRA_SHARDS changes which invocations each watchdog sees and is
- *    a semantic configuration change (it joins the experiment cache
- *    key).
+ *    the shard count changes which invocations each watchdog sees and
+ *    is a semantic configuration change. The offline evaluator runs
+ *    with the watchdog off; served models take their shard count from
+ *    the job spec.
  *
  * Evidence merging: each shard's watchdog runs its sequential
  * envelope at confidence 1 - alpha/N (stats::splitConfidence). By the
@@ -83,13 +84,6 @@ struct ShardPlan
 };
 
 /**
- * The shard count evaluation uses when EvaluationOptions::shards is 0:
- * the MITHRA_SHARDS environment variable (an integer in [1, 1024]),
- * falling back to the parallel substrate's thread count.
- */
-std::size_t defaultShardCount();
-
-/**
  * Per-shard audit-schedule seed: decorrelates the shards' watchdog
  * schedules while keeping each a pure function of (base seed, shard).
  */
@@ -105,10 +99,9 @@ struct ShardTally
     std::size_t falsePositives = 0;
     /** Accelerated decisions the oracle would have run precisely. */
     std::size_t falseNegatives = 0;
-    /** Watchdog audits that re-ran the precise function. */
-    std::size_t auditPreciseRuns = 0;
-    /** DEGRADED shadow audits that ran the gated accelerator. */
-    std::size_t shadowAccelRuns = 0;
+    /** Watchdog audits of either kind (precise re-runs and DEGRADED
+     *  shadow runs of the gated accelerator). */
+    std::size_t audits = 0;
     /** Audits whose true error exceeded the watchdog's threshold. */
     std::size_t violations = 0;
     /** Would-accelerate invocations a DEGRADED watchdog forced onto
@@ -124,12 +117,6 @@ struct ShardTally
      * ascending position reproduces the serial observation order.
      */
     std::vector<std::size_t> sampledIndices;
-
-    /** Watchdog audits of either kind. */
-    std::size_t audits() const
-    {
-        return auditPreciseRuns + shadowAccelRuns;
-    }
 };
 
 /** Knobs of one runShardedDecisions() pass over one dataset. */
@@ -231,9 +218,9 @@ void mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                         double confidence, ShardedEvaluation &out);
 
 /**
- * The runtime decision engine behind every deployment stream: the
- * offline Evaluator's validation suite and each served Model's
- * `/invoke` stream.
+ * The runtime decision engine behind every decision stream: the
+ * offline Evaluator's validation suite (watchdog off) and each served
+ * Model's `/invoke` stream.
  *
  * It owns what persists across the datasets or batches of one
  * stream: the per-shard watchdogs (built once, at the split

@@ -1,7 +1,6 @@
 #include "core/watchdog/watchdog.hh"
 
 #include "common/contracts.hh"
-#include "common/env_registry.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "telemetry/telemetry.hh"
@@ -24,24 +23,6 @@ stateName(State state)
     }
     MITHRA_ASSERT(false, "unreachable watchdog state");
     return "?";
-}
-
-WatchdogOptions
-WatchdogOptions::fromEnv()
-{
-    WatchdogOptions options;
-
-    options.enabled = env::flag("MITHRA_WATCHDOG", options.enabled);
-    options.baseAuditRate = env::realIn("MITHRA_WATCHDOG_RATE", 0.0,
-                                        1.0, options.baseAuditRate);
-    options.maxViolationRate =
-        env::realIn("MITHRA_WATCHDOG_MAX_VIOLATION", 0.0, 1.0,
-                    options.maxViolationRate);
-    options.confidence = env::realIn("MITHRA_WATCHDOG_CONFIDENCE", 0.0,
-                                     1.0, options.confidence);
-    options.seed = env::seed("MITHRA_WATCHDOG_SEED", options.seed);
-
-    return options;
 }
 
 namespace

@@ -114,16 +114,6 @@ struct WatchdogOptions
     std::size_t probationMinAudits = 32;
     /** Audit-schedule seed (shared SplitMix64 stream family). */
     std::uint64_t seed = 0xd09ULL;
-
-    /**
-     * Defaults overridden by the MITHRA_WATCHDOG* environment knobs
-     * (see the README's environment-variable reference):
-     * MITHRA_WATCHDOG=1 enables, MITHRA_WATCHDOG_RATE sets
-     * baseAuditRate, MITHRA_WATCHDOG_MAX_VIOLATION sets
-     * maxViolationRate, MITHRA_WATCHDOG_CONFIDENCE sets confidence,
-     * MITHRA_WATCHDOG_SEED sets the schedule seed.
-     */
-    static WatchdogOptions fromEnv();
 };
 
 /** What the runtime must do for one invocation (see Watchdog::route). */

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/contracts.hh"
-#include "common/env_registry.hh"
 #include "dse/surrogate.hh"
 #include "telemetry/run_report.hh"
 #include "telemetry/telemetry.hh"
@@ -166,21 +165,6 @@ class RunnerBackend : public EvalBackend
 };
 
 } // namespace
-
-DseOptions
-DseOptions::fromEnv()
-{
-    DseOptions options;
-    options.margin = env::realIn("MITHRA_DSE_MARGIN", 0.0, 1.0,
-                                 options.margin, false, true);
-    options.qualityMargin =
-        env::realIn("MITHRA_DSE_QUALITY_MARGIN", 0.0, 1.0,
-                    options.qualityMargin, false, true);
-    options.seedEvals = env::countIn("MITHRA_DSE_SEED_EVALS", 1, 4096,
-                                     options.seedEvals);
-    options.exhaustive = env::flag("MITHRA_DSE_EXHAUSTIVE");
-    return options;
-}
 
 const char *
 candidateStateName(CandidateState state)

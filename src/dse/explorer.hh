@@ -57,7 +57,7 @@ struct DseAxes
     }
 };
 
-/** Explorer knobs; fromEnv() reads the MITHRA_DSE_* variables. */
+/** Explorer knobs; the defaults are the documented operating point. */
 struct DseOptions
 {
     /**
@@ -79,8 +79,6 @@ struct DseOptions
     std::size_t seedEvals = 12;
     /** Evaluate everything (reference mode; no surrogate, no prune). */
     bool exhaustive = false;
-
-    static DseOptions fromEnv();
 };
 
 /** What the explorer decided to do with one candidate. */
@@ -167,7 +165,7 @@ class EvalBackend
 class Explorer
 {
   public:
-    explicit Explorer(const DseOptions &options = DseOptions::fromEnv())
+    explicit Explorer(const DseOptions &options = DseOptions{})
         : opts(options)
     {
     }

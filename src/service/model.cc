@@ -134,7 +134,7 @@ Model::invoke(const float *rows, std::size_t count)
                   telemetry::Json(tally.falsePositives));
     batch.emplace("falseNegatives",
                   telemetry::Json(tally.falseNegatives));
-    batch.emplace("audits", telemetry::Json(tally.audits()));
+    batch.emplace("audits", telemetry::Json(tally.audits));
     batch.emplace("violations", telemetry::Json(tally.violations));
     batch.emplace("forcedPrecise",
                   telemetry::Json(tally.forcedPrecise));

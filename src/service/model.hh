@@ -11,12 +11,11 @@
  * whole served stream.
  *
  * Determinism: the shard count is pinned in the model configuration
- * (it ships in the job spec) and never read from MITHRA_SHARDS — so
- * the decision sequence and every certificate are a pure function of
- * the request sequence, bitwise identical at any MITHRA_THREADS and
- * any MITHRA_SHARDS setting of the serving process. The serial
- * accounting inside runShardedDecisions consumes each shard's
- * subsequence in order, exactly as in offline evaluation.
+ * (it ships in the job spec) — so the decision sequence and every
+ * certificate are a pure function of the request sequence, bitwise
+ * identical at any MITHRA_THREADS setting of the serving process.
+ * The serial accounting inside runShardedDecisions consumes each
+ * shard's subsequence in order, exactly as in offline evaluation.
  */
 
 #pragma once

@@ -14,6 +14,7 @@
 #include "axbench/registry.hh"
 #include "common/contracts.hh"
 #include "common/env_registry.hh"
+#include "common/kernels/kernels.hh"
 #include "common/logging.hh"
 #include "telemetry/run_report.hh"
 #include "telemetry/telemetry.hh"
@@ -295,6 +296,12 @@ Server::start()
 {
     if (running.load())
         return;
+
+    // Choose the kernel backend before the port binds: `/metrics`
+    // then reports kernels.backend before any job runs, and a bad
+    // MITHRA_KERNELS stops the server here instead of failing the
+    // first compile job.
+    kernels::activeBackend();
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)

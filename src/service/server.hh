@@ -22,8 +22,7 @@
  * mithra-analyze's taint quarantine). Everything the endpoints
  * *compute* — decisions, certificates, metrics documents — is
  * produced by the deterministic core: a pure function of the request
- * sequence, independent of MITHRA_THREADS, MITHRA_SHARDS, worker
- * count, or timing.
+ * sequence, independent of MITHRA_THREADS, worker count, or timing.
  *
  * The router (handle()) is separated from the socket loop so tests
  * can drive the full API without networking. The server binds
@@ -75,8 +74,9 @@ class Server
     explicit Server(const ServerOptions &serverOptions = ServerOptions{});
     ~Server();
 
-    /** Bind, listen, spawn acceptor/workers/job worker. fatal() when
-     *  the port cannot be bound. Idempotent. */
+    /** Choose the kernel backend, then bind, listen, spawn
+     *  acceptor/workers/job worker. fatal() on a bad MITHRA_KERNELS
+     *  or when the port cannot be bound. Idempotent. */
     void start();
 
     /** Stop accepting, drain workers, stop the job worker. */

@@ -112,29 +112,4 @@ SystemSimulator::run(const RegionProfile &profile,
     return totals;
 }
 
-RunTotals
-SystemSimulator::auditOverhead(const RegionProfile &profile,
-                               std::size_t preciseRuns,
-                               std::size_t shadowAccelRuns) const
-{
-    MITHRA_COUNT("sim.invocations.audited",
-                 preciseRuns + shadowAccelRuns);
-
-    const auto precise = static_cast<double>(preciseRuns);
-    const auto shadow = static_cast<double>(shadowAccelRuns);
-    const double idlePj = coreModel.params().picoJoulesPerCycle
-        * sysParams.coreIdleEnergyFraction;
-
-    // No branch or classifier charges here: the audited invocation
-    // already paid them in run(); the audit only duplicates the
-    // function body on the other engine.
-    RunTotals totals;
-    totals.cycles = precise * profile.preciseCycles
-        + shadow * profile.accelCycles;
-    totals.energyPj = precise * profile.preciseEnergyPj
-        + shadow
-            * (profile.accelEnergyPj + profile.accelCycles * idlePj);
-    return totals;
-}
-
 } // namespace mithra::sim

@@ -121,20 +121,6 @@ class SystemSimulator
                   const ClassifierCost &classifier, std::size_t numAccel,
                   std::size_t numPrecise) const;
 
-    /**
-     * Extra cost of watchdog audits on top of run(): an audited
-     * accelerated invocation also executes the precise function, and
-     * a DEGRADED shadow audit also executes the (gated) accelerator.
-     * Charged separately because audits duplicate work for the same
-     * invocation — they do not change how it was routed.
-     *
-     * @param preciseRuns     audits that re-ran the precise function
-     * @param shadowAccelRuns shadow audits that ran the gated NPU
-     */
-    RunTotals auditOverhead(const RegionProfile &profile,
-                            std::size_t preciseRuns,
-                            std::size_t shadowAccelRuns) const;
-
     const CoreModel &core() const { return coreModel; }
     const SystemParams &params() const { return sysParams; }
 

@@ -6,10 +6,6 @@
  *      time + invocation count for the enclosing scope, Chrome-trace
  *      exportable (see telemetry/span.hh).
  *  MITHRA_COUNT("sim.accept", n);      — add n to a named counter.
- *  MITHRA_COUNT_DYNAMIC(name, n);      — like MITHRA_COUNT but for a
- *      name built at runtime (per-shard counters). No static site
- *      caching: every hit is one registry lookup, so keep it off
- *      per-element hot paths — merge/summary points only.
  *  MITHRA_GAUGE_SET("hw.density", d);  — set a last-write-wins gauge.
  *  MITHRA_HIST("npu.mse", 0, 1, 20, v) — record v into a fixed-bucket
  *      histogram over [0, 1) with 20 buckets.
@@ -49,13 +45,6 @@
         static ::mithra::telemetry::Counter &mithraCounter_ =               \
             ::mithra::telemetry::StatsRegistry::global().counter(name);     \
         mithraCounter_.add(                                                 \
-            static_cast<std::int64_t>(delta));                              \
-    } while (0)
-
-/** Add `delta` to the counter with a runtime-built `name`. */
-#define MITHRA_COUNT_DYNAMIC(name, delta)                                   \
-    do {                                                                    \
-        ::mithra::telemetry::StatsRegistry::global().counter(name).add(     \
             static_cast<std::int64_t>(delta));                              \
     } while (0)
 

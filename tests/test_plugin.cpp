@@ -290,11 +290,15 @@ kmeansEnv()
         ensurePluginsLoaded();
         const Pipeline pipeline(kmeansOptions());
         auto *e = new KmeansEnv{pipeline.compile("kmeans")};
-        const ThresholdResult threshold =
-            pipeline.tuneThreshold(e->workload, e->spec);
-        e->threshold = threshold.threshold;
-        auto table = pipeline.tuneTable(e->workload, e->spec, threshold);
-        e->table = std::move(table.classifier);
+        e->threshold =
+            pipeline.tuneThreshold(e->workload, e->spec).threshold;
+        // Trained without calibration: at this compile budget
+        // calibration fails closed and the table would never
+        // accelerate, leaving nothing for the identity sweep to
+        // compare.
+        e->table = std::make_unique<TableClassifier>(TableClassifier::train(
+            pipeline.makeTrainingData(e->workload, e->threshold),
+            TableClassifierOptions{}));
         e->validation = makeValidationSet(e->workload, 8);
         return e;
     }();
@@ -302,13 +306,11 @@ kmeansEnv()
 }
 
 DesignEvaluation
-runKmeansEval(std::size_t shards, std::size_t threads)
+runKmeansEval(std::size_t threads)
 {
     KmeansEnv &e = kmeansEnv();
     setParallelThreadCount(threads);
-    EvaluationOptions options;
-    options.shards = shards;
-    const Evaluator evaluator(e.workload, e.spec, e.threshold, options);
+    const Evaluator evaluator(e.workload, e.spec, e.threshold);
     TableClassifier copy = *e.table;
     DesignEvaluation eval = evaluator.evaluate(copy, e.validation);
     setParallelThreadCount(1);
@@ -337,17 +339,14 @@ expectIdentical(const DesignEvaluation &a, const DesignEvaluation &b)
 TEST(PluginPipeline, KmeansBitwiseIdenticalAcrossShardsAndThreads)
 {
     // The determinism contract applies to plugin workloads unchanged:
-    // bit-for-bit identical aggregates at any MITHRA_THREADS and (with
-    // the watchdog off) any MITHRA_SHARDS.
-    const DesignEvaluation reference = runKmeansEval(1, 1);
-    for (const std::size_t shards : {1u, 5u}) {
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards)
-                         + " threads=" + std::to_string(threads));
-            const DesignEvaluation eval = runKmeansEval(shards, threads);
-            expectIdentical(reference, eval);
-            EXPECT_EQ(eval.sharded.shardCount, shards);
-        }
+    // bit-for-bit identical aggregates at any MITHRA_THREADS, which
+    // also sets the evaluator's shard count.
+    const DesignEvaluation reference = runKmeansEval(1);
+    EXPECT_GT(reference.invocationRate, 0.0);
+    EXPECT_LT(reference.invocationRate, 1.0);
+    for (const std::size_t threads : {2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectIdentical(reference, runKmeansEval(threads));
     }
 }
 

@@ -1,17 +1,17 @@
 /**
  * @file
  * Sharded runtime decision loop tests: shard-plan partition
- * properties, bitwise identity of DesignEvaluation aggregates across
- * MITHRA_SHARDS / MITHRA_THREADS settings (watchdog off), thread-count
- * identity at a fixed shard count (watchdog on), the deterministic
- * evidence merge, and the predicted alpha-split gap of the merged
- * sequential bound. tsan-labeled: the identity tests drive the shard
- * loop at 8 threads.
+ * properties, bitwise identity of the DecisionEngine stream across
+ * shard and thread counts (watchdog off) and of the Evaluator's
+ * aggregates across thread counts, thread-count identity at a fixed
+ * shard count on a drifted stream that audits and trips (watchdog
+ * on), the deterministic evidence merge, and the predicted alpha-split
+ * gap of the merged sequential bound. tsan-labeled: the identity tests
+ * drive the shard loop at 8 threads.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -68,9 +68,15 @@ env()
     static Env *shared = [] {
         const Pipeline pipeline(testOptions());
         auto *e = new Env{pipeline.compile("inversek2j")};
-        auto package = pipeline.tune(e->workload, e->spec);
-        e->threshold = package.threshold.threshold;
-        e->table = std::move(package.table);
+        e->threshold =
+            pipeline.tuneThreshold(e->workload, e->spec).threshold;
+        // Trained without calibration: at this small compile budget
+        // calibration fails closed and the table would never
+        // accelerate, leaving nothing for the identity tests to
+        // compare.
+        e->table = std::make_unique<TableClassifier>(TableClassifier::train(
+            pipeline.makeTrainingData(e->workload, e->threshold),
+            TableClassifierOptions{}));
         e->validation = makeValidationSet(e->workload, 8);
         return e;
     }();
@@ -78,27 +84,117 @@ env()
 }
 
 /**
- * Evaluate a fresh copy of the tuned table classifier (online updates
- * mutate it) under the given shard/thread configuration.
+ * Evaluate a fresh copy of the trained table classifier (online updates
+ * mutate it) at the given thread count, which also sets the
+ * evaluator's shard count.
  */
 DesignEvaluation
-runEval(std::size_t shards, std::size_t threads, bool watchdogOn)
+runEval(std::size_t threads)
 {
     Env &e = env();
     setParallelThreadCount(threads);
-    EvaluationOptions options;
-    options.shards = shards;
-    if (watchdogOn) {
-        options.watchdog.enabled = true;
-        // Audit densely so the short validation stream still feeds
-        // every shard's envelope.
-        options.watchdog.baseAuditRate = 0.05;
-    }
-    const Evaluator evaluator(e.workload, e.spec, e.threshold, options);
+    const Evaluator evaluator(e.workload, e.spec, e.threshold);
     TableClassifier copy = *e.table;
     DesignEvaluation eval = evaluator.evaluate(copy, e.validation);
     setParallelThreadCount(1);
     return eval;
+}
+
+/** What one DecisionEngine stream over the validation suite made. */
+struct StreamRun
+{
+    /** Every dataset's decisions, concatenated in stream order. */
+    std::vector<std::uint8_t> decisions;
+    /** Each decide() call's slot-ordered fold, in call order. */
+    std::vector<ShardTally> calls;
+    ShardedEvaluation evidence;
+};
+
+/**
+ * Stream the validation suite through one DecisionEngine, replaying
+ * the online observations at each dataset boundary the way the
+ * Evaluator does.
+ */
+StreamRun
+runStream(Classifier &classifier, std::size_t shards,
+          std::size_t threads, const watchdog::WatchdogOptions &wd,
+          double threshold)
+{
+    setParallelThreadCount(threads);
+    DecisionLoopOptions loop;
+    loop.oracleThreshold = threshold;
+    loop.onlineSampleRate = 0.01;
+    loop.sampleSeed = 0x5a3eULL;
+    DecisionEngine engine(shards, wd, loop);
+    StreamRun run;
+    std::vector<std::uint8_t> decisions;
+    for (const ValidationEntry &entry : env().validation.entries) {
+        const axbench::InvocationTrace &trace = *entry.trace;
+        classifier.beginDataset(trace);
+        decisions.assign(trace.count(), 0);
+        run.calls.push_back(
+            engine.decide(classifier, trace, decisions.data()));
+        for (const std::size_t i : run.calls.back().sampledIndices)
+            classifier.observe(trace.inputVec(i), trace.maxAbsError(i));
+        run.decisions.insert(run.decisions.end(), decisions.begin(),
+                             decisions.end());
+    }
+    run.evidence = engine.evidence();
+    setParallelThreadCount(1);
+    return run;
+}
+
+/**
+ * A drifted stream: random filtering, audited densely, against a
+ * violation threshold tight enough that most audits violate.
+ */
+StreamRun
+runDriftedStream(std::size_t shards, std::size_t threads)
+{
+    RandomFilterClassifier classifier(0.4, 0x1234);
+    watchdog::WatchdogOptions wd;
+    wd.enabled = true;
+    wd.baseAuditRate = 0.3;
+    return runStream(classifier, shards, threads, wd,
+                     0.1 * env().threshold);
+}
+
+/** Every decision and every per-call count, compared exactly. */
+void
+expectSameStream(const StreamRun &a, const StreamRun &b)
+{
+    EXPECT_EQ(a.decisions, b.decisions);
+    ASSERT_EQ(a.calls.size(), b.calls.size());
+    for (std::size_t c = 0; c < a.calls.size(); ++c) {
+        SCOPED_TRACE("call " + std::to_string(c));
+        EXPECT_EQ(a.calls[c].accelerated, b.calls[c].accelerated);
+        EXPECT_EQ(a.calls[c].falsePositives, b.calls[c].falsePositives);
+        EXPECT_EQ(a.calls[c].falseNegatives, b.calls[c].falseNegatives);
+        EXPECT_EQ(a.calls[c].audits, b.calls[c].audits);
+        EXPECT_EQ(a.calls[c].violations, b.calls[c].violations);
+        EXPECT_EQ(a.calls[c].forcedPrecise, b.calls[c].forcedPrecise);
+        EXPECT_EQ(a.calls[c].firstTripAt, b.calls[c].firstTripAt);
+        EXPECT_EQ(a.calls[c].sampledIndices, b.calls[c].sampledIndices);
+    }
+}
+
+/** Watchdog audits and DEGRADED entries over all shards. */
+std::size_t
+totalAudits(const ShardedEvaluation &evidence)
+{
+    std::size_t audits = 0;
+    for (const ShardReport &shard : evidence.shards)
+        audits += shard.watchdog.audits;
+    return audits;
+}
+
+std::size_t
+totalTrips(const ShardedEvaluation &evidence)
+{
+    std::size_t trips = 0;
+    for (const ShardReport &shard : evidence.shards)
+        trips += shard.watchdog.trips;
+    return trips;
 }
 
 /** Every aggregate the evaluation reports, compared bitwise. */
@@ -144,14 +240,6 @@ TEST(ShardPlan, PartitionsContiguouslyWithBalancedSizes)
     }
 }
 
-TEST(ShardPlan, DefaultShardCountReadsEnvironment)
-{
-    setenv("MITHRA_SHARDS", "7", 1);
-    EXPECT_EQ(defaultShardCount(), 7u);
-    unsetenv("MITHRA_SHARDS");
-    EXPECT_EQ(defaultShardCount(), parallelThreadCount());
-}
-
 TEST(ShardPlan, ShardSeedsAreDistinct)
 {
     EXPECT_NE(shardSeed(0xd09ULL, 0), shardSeed(0xd09ULL, 1));
@@ -160,19 +248,47 @@ TEST(ShardPlan, ShardSeedsAreDistinct)
 
 TEST(ShardedRuntime, BitwiseIdenticalAcrossShardsAndThreads)
 {
-    // Watchdog off: the evaluation must be bit-for-bit identical for
-    // ANY shard count and ANY thread count (DESIGN.md §12).
-    const DesignEvaluation reference = runEval(1, 1, false);
-    EXPECT_EQ(reference.sharded.shardCount, 1u);
+    // Watchdog off: the engine's decisions, tallies and sampling
+    // schedule must be bit-for-bit identical for ANY shard count and
+    // ANY thread count (DESIGN.md §12).
+    TableClassifier referenceTable = *env().table;
+    const StreamRun reference = runStream(
+        referenceTable, 1, 1, watchdog::WatchdogOptions{}, env().threshold);
+    // The stream must mix both paths and feed the online updates.
+    std::size_t accelerated = 0;
+    std::size_t sampled = 0;
+    for (const ShardTally &call : reference.calls) {
+        accelerated += call.accelerated;
+        sampled += call.sampledIndices.size();
+    }
+    EXPECT_GT(accelerated, 0u);
+    EXPECT_LT(accelerated, reference.decisions.size());
+    EXPECT_GT(sampled, 0u);
     for (const std::size_t shards : {1u, 5u}) {
         for (const std::size_t threads : {1u, 2u, 8u}) {
-            const DesignEvaluation eval = runEval(shards, threads,
-                                                  false);
             SCOPED_TRACE("shards=" + std::to_string(shards)
                          + " threads=" + std::to_string(threads));
-            expectIdentical(reference, eval);
-            EXPECT_EQ(eval.sharded.shardCount, shards);
+            TableClassifier table = *env().table;
+            const StreamRun run =
+                runStream(table, shards, threads,
+                          watchdog::WatchdogOptions{}, env().threshold);
+            expectSameStream(reference, run);
+            EXPECT_EQ(run.evidence.shardCount, shards);
+            EXPECT_FALSE(run.evidence.watchdogEnabled);
         }
+    }
+}
+
+TEST(ShardedRuntime, EvaluatorBitwiseIdenticalAcrossThreads)
+{
+    // The evaluator shards by thread count and runs without the
+    // watchdog, so its aggregates must not depend on the thread count.
+    const DesignEvaluation reference = runEval(1);
+    EXPECT_GT(reference.invocationRate, 0.0);
+    EXPECT_LT(reference.invocationRate, 1.0);
+    for (const std::size_t threads : {2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectIdentical(reference, runEval(threads));
     }
 }
 
@@ -180,25 +296,31 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
 {
     // Watchdog on: the shard count is semantic configuration, but the
     // thread count still must not change anything.
-    const DesignEvaluation reference = runEval(3, 1, true);
-    ASSERT_TRUE(reference.sharded.watchdogEnabled);
-    ASSERT_EQ(reference.sharded.shards.size(), 3u);
+    const StreamRun reference = runDriftedStream(3, 1);
+    ASSERT_TRUE(reference.evidence.watchdogEnabled);
+    ASSERT_EQ(reference.evidence.shards.size(), 3u);
+    // The stream must actually audit and trip.
+    EXPECT_GT(totalAudits(reference.evidence), 0u);
+    EXPECT_GT(totalTrips(reference.evidence), 0u);
+    EXPECT_EQ(reference.evidence.combinedState, watchdog::State::Degraded);
     for (const std::size_t threads : {2u, 8u}) {
-        const DesignEvaluation eval = runEval(3, threads, true);
+        const StreamRun run = runDriftedStream(3, threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectIdentical(reference, eval);
-        EXPECT_EQ(eval.sharded.combinedState,
-                  reference.sharded.combinedState);
-        EXPECT_EQ(eval.sharded.violationEnvelope.lower,
-                  reference.sharded.violationEnvelope.lower);
-        EXPECT_EQ(eval.sharded.violationEnvelope.upper,
-                  reference.sharded.violationEnvelope.upper);
+        expectSameStream(reference, run);
+        EXPECT_EQ(run.evidence.combinedState,
+                  reference.evidence.combinedState);
+        EXPECT_EQ(run.evidence.violationEnvelope.lower,
+                  reference.evidence.violationEnvelope.lower);
+        EXPECT_EQ(run.evidence.violationEnvelope.upper,
+                  reference.evidence.violationEnvelope.upper);
         for (std::size_t k = 0; k < 3; ++k) {
-            const auto &a = reference.sharded.shards[k].watchdog;
-            const auto &b = eval.sharded.shards[k].watchdog;
+            const auto &a = reference.evidence.shards[k].watchdog;
+            const auto &b = run.evidence.shards[k].watchdog;
             EXPECT_EQ(a.state, b.state);
             EXPECT_EQ(a.audits, b.audits);
             EXPECT_EQ(a.violations, b.violations);
+            EXPECT_EQ(a.trips, b.trips);
+            EXPECT_EQ(a.firstTripAt, b.firstTripAt);
             EXPECT_EQ(a.violationLowerBound, b.violationLowerBound);
             EXPECT_EQ(a.violationUpperBound, b.violationUpperBound);
         }
@@ -207,17 +329,18 @@ TEST(ShardedRuntime, WatchdogIdenticalAcrossThreadsAtFixedShards)
 
 TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
 {
-    const DesignEvaluation eval = runEval(4, 2, true);
-    ASSERT_TRUE(eval.sharded.watchdogEnabled);
-    ASSERT_EQ(eval.sharded.shards.size(), 4u);
-    EXPECT_EQ(eval.sharded.shardConfidence,
-              stats::splitConfidence(0.95, 4));
+    const StreamRun run = runDriftedStream(4, 2);
+    const ShardedEvaluation &evidence = run.evidence;
+    ASSERT_TRUE(evidence.watchdogEnabled);
+    ASSERT_EQ(evidence.shards.size(), 4u);
+    EXPECT_EQ(evidence.shardConfidence, stats::splitConfidence(0.95, 4));
+    EXPECT_EQ(evidence.combinedState, watchdog::State::Degraded);
 
     std::size_t audits = 0;
     std::size_t violations = 0;
     std::size_t invocations = 0;
     stats::ProportionEnvelope expected;
-    for (const ShardReport &shard : eval.sharded.shards) {
+    for (const ShardReport &shard : evidence.shards) {
         audits += shard.watchdog.audits;
         violations += shard.watchdog.violations;
         invocations += shard.invocations;
@@ -225,21 +348,18 @@ TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
             expected, {shard.watchdog.violationLowerBound,
                        shard.watchdog.violationUpperBound});
     }
+    EXPECT_GT(audits, 0u);
+    EXPECT_GT(totalTrips(evidence), 0u);
     EXPECT_EQ(invocations, env().validation.totalInvocations());
-    EXPECT_EQ(eval.sharded.violationEnvelope.lower, expected.lower);
-    EXPECT_EQ(eval.sharded.violationEnvelope.upper, expected.upper);
-    EXPECT_TRUE(eval.sharded.violationEnvelope.valid());
+    EXPECT_EQ(evidence.violationEnvelope.lower, expected.lower);
+    EXPECT_EQ(evidence.violationEnvelope.upper, expected.upper);
+    EXPECT_TRUE(evidence.violationEnvelope.valid());
     // The pooled diagnostic is the one-look interval on the summed
-    // per-shard audit counts at the full confidence (vacuous without
-    // audits).
-    stats::ProportionEnvelope pooled;
-    if (audits > 0) {
-        const stats::ProportionInterval interval =
-            stats::clopperPearsonInterval(violations, audits, 0.95);
-        pooled = {interval.lower, interval.upper};
-    }
-    EXPECT_EQ(eval.sharded.pooledEnvelope.lower, pooled.lower);
-    EXPECT_EQ(eval.sharded.pooledEnvelope.upper, pooled.upper);
+    // per-shard audit counts at the full confidence.
+    const stats::ProportionInterval interval =
+        stats::clopperPearsonInterval(violations, audits, 0.95);
+    EXPECT_EQ(evidence.pooledEnvelope.lower, interval.lower);
+    EXPECT_EQ(evidence.pooledEnvelope.upper, interval.upper);
 }
 
 TEST(AlphaSplit, SplitConfidenceSpendsAlphaOverShards)
@@ -406,7 +526,7 @@ TEST(ShardedRuntime, RunShardedDecisionsMatchesSerialReference)
             EXPECT_EQ(decisions[i], routing.useAccel ? 1 : 0);
         }
         SCOPED_TRACE("shard " + std::to_string(k));
-        EXPECT_EQ(tallies[k].audits(), audits);
+        EXPECT_EQ(tallies[k].audits, audits);
         EXPECT_EQ(tallies[k].violations, violations);
         EXPECT_EQ(tallies[k].forcedPrecise, forced);
         EXPECT_EQ(tallies[k].firstTripAt, firstTrip);

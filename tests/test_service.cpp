@@ -14,6 +14,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <cstring>
@@ -331,6 +333,45 @@ TEST(ServiceRouter, MetricsDocumentValidates)
         server.handle(makeRequest("GET", "/metrics"));
     ASSERT_EQ(response.status, 200);
     EXPECT_EQ(telemetry::validateMetrics(bodyOf(response)), "");
+}
+
+// Each startup case runs in a freshly executed process, where no
+// kernel has run yet: only Server::start() can have chosen the backend.
+TEST(ServiceStartupDeathTest, MetricsReportKernelBackendBeforeAnyJob)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            service::Server server;
+            server.start();
+            const service::ClientResult metrics =
+                service::HttpClient(server.port()).get("/metrics");
+            server.stop();
+            const telemetry::ParseResult document =
+                telemetry::parseJson(metrics.body);
+            const Json *stats =
+                document.ok ? document.value.find("stats") : nullptr;
+            const Json *gauges = stats ? stats->find("gauges") : nullptr;
+            const bool reported = metrics.status == 200 && gauges
+                && gauges->find("kernels.backend") != nullptr;
+            std::fprintf(stderr, "%s\n",
+                         reported ? "backend reported"
+                                  : metrics.body.c_str());
+            std::_Exit(reported ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "backend reported");
+}
+
+TEST(ServiceStartupDeathTest, BadKernelBackendStopsStartup)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            setenv("MITHRA_KERNELS", "sse42", 1);
+            service::Server server;
+            server.start();
+        },
+        "is not a kernel backend");
 }
 
 TEST(ServiceRouter, ModelsListStartsEmpty)

@@ -43,8 +43,7 @@ envAccessors()
 {
     static const std::set<std::string> names = {
         "getenv", "secure_getenv", "setenv", "unsetenv", "putenv",
-        "raw",    "countIn",       "realIn", "flag",     "seed",
-        "text",
+        "raw",    "countIn",       "realIn", "flag",     "text",
     };
     return names;
 }

@@ -73,12 +73,12 @@
  * only; the float ban covers src/stats only; the raw
  * timing ban covers src/ only (bench/ and tests/ may time freely); the
  * intrinsics ban covers src/, bench/ and tests/; the c-abi-header
- * rules cover include/*.h (where pragma-once and namespace-mithra do
- * NOT apply — the ABI header is shared with plain C). common/rng.* is
- * exempt from no-random-device, common/logging.* from no-iostream,
- * src/telemetry/ from no-raw-timing, src/common/kernels/ from
- * no-intrinsics, and src/plugin/ from no-dlopen — they are the
- * sanctioned implementations.
+ * rules cover the C headers under include/ (where pragma-once and
+ * namespace-mithra do NOT apply — the ABI header is shared with plain
+ * C). common/rng.* is exempt from no-random-device, common/logging.*
+ * from no-iostream, src/telemetry/ from no-raw-timing,
+ * src/common/kernels/ from no-intrinsics, and src/plugin/ from
+ * no-dlopen — they are the sanctioned implementations.
  *
  * A `// mithra-lint: allow(<rule>)` comment suppresses that rule on
  * its own line and the following line.
@@ -123,7 +123,7 @@ struct PathPolicy
     bool kernelsImpl = false;
     /** Sanctioned dlopen/dlsym home (src/plugin/). */
     bool pluginImpl = false;
-    /** C89 plugin-ABI header rules (include/*.h). */
+    /** C89 plugin-ABI header rules (the .h files under include/). */
     bool cAbiHeader = false;
 };
 

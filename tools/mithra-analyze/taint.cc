@@ -59,9 +59,9 @@ const std::set<std::string> &
 sinkNames()
 {
     static const std::set<std::string> names = {
-        "MITHRA_COUNT", "MITHRA_COUNT_DYNAMIC", "MITHRA_GAUGE_SET",
-        "MITHRA_HIST",  "addMetric",            "counter",
-        "gauge",        "histogram",            "cacheKey",
+        "MITHRA_COUNT", "MITHRA_GAUGE_SET", "MITHRA_HIST",
+        "addMetric",    "counter",          "gauge",
+        "histogram",    "cacheKey",
     };
     return names;
 }
