@@ -40,17 +40,4 @@ fmtKb(double bytes, int decimals)
     return buf;
 }
 
-std::string
-fmtCount(double value)
-{
-    char buf[64];
-    if (value >= 1e6)
-        std::snprintf(buf, sizeof(buf), "%.2fM", value / 1e6);
-    else if (value >= 1e3)
-        std::snprintf(buf, sizeof(buf), "%.1fk", value / 1e3);
-    else
-        std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-}
-
 } // namespace mithra

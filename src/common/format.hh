@@ -2,9 +2,7 @@
  * @file
  * Shared number formatting for human-readable output.
  *
- * These helpers originated in core/report.hh for the table/figure
- * harness binaries; they live in common/ so lower layers (notably the
- * telemetry dump) can reuse them without a core -> telemetry cycle.
+ * These helpers serve the table/figure harness binaries;
  * core/report.hh re-exports them into mithra::core for its callers.
  */
 
@@ -26,8 +24,5 @@ std::string fmtBytes(double bytes);
 
 /** Bytes rendered as "12.00 KB". */
 std::string fmtKb(double bytes, int decimals = 2);
-
-/** "1.2k" / "3.40M" style human count (exact below 1000). */
-std::string fmtCount(double value);
 
 } // namespace mithra

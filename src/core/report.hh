@@ -14,10 +14,9 @@
 namespace mithra::core
 {
 
-// The format helpers moved to common/format.hh (the telemetry dump
-// shares them); re-exported here for the harness binaries.
+// The format helpers live in common/format.hh; re-exported here for
+// the harness binaries.
 using mithra::fmtBytes;
-using mithra::fmtCount;
 using mithra::fmtKb;
 using mithra::fmtPct;
 using mithra::fmtRatio;

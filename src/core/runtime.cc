@@ -23,6 +23,14 @@ namespace
 constexpr double onlineSampleRate = 0.01;
 /** Seed of the online-sampling schedule and of random filtering. */
 constexpr std::uint64_t evaluationSeed = 0xe7a1;
+/**
+ * Shards each validation dataset is split into: a full-scale 4096-row
+ * dataset is then one 512-row decision block per shard. With the
+ * watchdog off the result is bitwise identical at any shard count
+ * (DESIGN.md §12); a fixed count, not the thread count, also keeps
+ * the shard loop's work counters (parallel.chunks) thread-independent.
+ */
+constexpr std::size_t evaluationShards = 8;
 
 } // namespace
 
@@ -78,27 +86,22 @@ Evaluator::evaluate(Classifier &classifier,
     eval.kind = classifier.kind();
     eval.trials = validation.entries.size();
 
-    // One shard per worker: with the watchdog off the result is
-    // bitwise identical at any shard count (DESIGN.md §12).
-    const std::size_t shardCount = parallelThreadCount();
-    MITHRA_GAUGE_SET("runtime.shards",
-                     static_cast<double>(shardCount));
-
     std::vector<double> losses;
     losses.reserve(eval.trials);
 
     // The validation suite is one long stream: the engine's sampling
     // position persists across datasets.
     DecisionLoopOptions loop;
-    loop.oracleThreshold = threshold;
     loop.onlineSampleRate = onlineSampleRate;
     loop.sampleSeed = evaluationSeed ^ 0x0b5e7feULL;
-    DecisionEngine engine(shardCount, watchdog::WatchdogOptions{}, loop);
+    DecisionEngine engine(evaluationShards, watchdog::WatchdogOptions{},
+                          loop);
 
     std::size_t accelTotal = 0;
     std::size_t invocationTotal = 0;
     std::size_t falsePositives = 0;
     std::size_t falseNegatives = 0;
+    const auto oracleThreshold = static_cast<float>(threshold);
 
     std::vector<std::uint8_t> decisions;
     for (const auto &entry : validation.entries) {
@@ -110,8 +113,17 @@ Evaluator::evaluate(Classifier &classifier,
             engine.decide(classifier, trace, decisions.data());
         accelTotal += tally.accelerated;
         invocationTotal += trace.count();
-        falsePositives += tally.falsePositives;
-        falseNegatives += tally.falseNegatives;
+
+        // Oracle false-decision accounting against the final routing:
+        // evaluation-only work, kept out of the decision engine.
+        const float *errors = trace.maxAbsErrors().data();
+        for (std::size_t i = 0; i < trace.count(); ++i) {
+            const bool oraclePrecise = errors[i] > oracleThreshold;
+            if (!decisions[i] && !oraclePrecise)
+                ++falsePositives;
+            else if (decisions[i] && oraclePrecise)
+                ++falseNegatives;
+        }
 
         // Deferred online observations (paper §IV-C.1): the schedule
         // picked the indices inside the sharded loop; the mutating

@@ -15,12 +15,14 @@
  * precise baseline, and false positives/negatives against the oracle.
  *
  * The decision loop itself is sharded and batch-first (core/shard.hh):
- * each dataset's invocation stream splits into one deterministic
- * contiguous shard per worker thread; the shards decide via
+ * each dataset's invocation stream splits into a fixed number of
+ * deterministic contiguous shards; the shards decide via
  * Classifier::decideBatch() and run concurrently. Evaluation runs
  * without the runtime watchdog, as the paper's figures do, so the
- * result is bitwise identical at any thread count. See DESIGN.md §12
- * for the determinism contract.
+ * result is bitwise identical at any thread count. The oracle
+ * false-decision counts are evaluation-only work: the evaluator
+ * derives them from the final routing, outside the decision engine.
+ * See DESIGN.md §12 for the determinism contract.
  */
 
 #pragma once

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "stats/clopper_pearson.hh"
 
 namespace mithra::core
 {
@@ -47,10 +46,9 @@ constexpr std::size_t decisionBlock = 512;
 
 /**
  * The serial accounting pass over one decided block: watchdog
- * routing/audits, oracle false-decision counts and the online-sampling
- * schedule, in ascending index order. `decisions` holds decideBatch()
- * output on entry (1 = precise) and recompose() routing on exit
- * (1 = accelerate).
+ * routing/audits and the online-sampling schedule, in ascending index
+ * order. `decisions` holds decideBatch() output on entry (1 = precise)
+ * and recompose() routing on exit (1 = accelerate).
  */
 void
 accountBlock(const float *errors, watchdog::Watchdog *dog,
@@ -58,8 +56,6 @@ accountBlock(const float *errors, watchdog::Watchdog *dog,
              std::size_t blockEnd, std::uint8_t *decisions,
              ShardTally &tally)
 {
-    const auto oracleThreshold =
-        static_cast<float>(options.oracleThreshold);
     for (std::size_t i = blockBegin; i < blockEnd; ++i) {
         bool precise = decisions[i] != 0;
 
@@ -84,13 +80,6 @@ accountBlock(const float *errors, watchdog::Watchdog *dog,
 
         decisions[i] = precise ? 0 : 1;
         tally.accelerated += precise ? 0 : 1;
-
-        // Oracle comparison for false-decision accounting.
-        const bool oraclePrecise = errors[i] > oracleThreshold;
-        if (precise && !oraclePrecise)
-            ++tally.falsePositives;
-        else if (!precise && oraclePrecise)
-            ++tally.falseNegatives;
 
         // Sporadic online sampling (paper §IV-C.1): the schedule is a
         // pure function of (seed, global stream index), so any shard
@@ -191,9 +180,6 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                                                  dogs.size());
     out.combinedState = watchdog::State::Healthy;
     out.violationEnvelope = stats::ProportionEnvelope{};
-
-    std::size_t pooledAudits = 0;
-    std::size_t pooledViolations = 0;
     for (std::size_t k = 0; k < dogs.size(); ++k) {
         const watchdog::Snapshot snap = dogs[k].snapshot();
         out.shards[k].watchdog = snap;
@@ -207,18 +193,6 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
         out.violationEnvelope =
             stats::intersectEnvelopes(out.violationEnvelope,
                                       shardEnvelope);
-
-        pooledAudits += snap.audits;
-        pooledViolations += snap.violations;
-    }
-
-    if (pooledAudits > 0) {
-        const stats::ProportionInterval pooled =
-            stats::clopperPearsonInterval(pooledViolations, pooledAudits,
-                                          confidence);
-        out.pooledEnvelope = {pooled.lower, pooled.upper};
-    } else {
-        out.pooledEnvelope = stats::ProportionEnvelope{};
     }
 }
 
@@ -262,8 +236,6 @@ DecisionEngine::decide(Classifier &classifier,
         const ShardTally &tally = tallies[k];
         call.invocations += tally.invocations;
         call.accelerated += tally.accelerated;
-        call.falsePositives += tally.falsePositives;
-        call.falseNegatives += tally.falseNegatives;
         call.audits += tally.audits;
         call.violations += tally.violations;
         call.forcedPrecise += tally.forcedPrecise;
@@ -275,8 +247,6 @@ DecisionEngine::decide(Classifier &classifier,
         ShardReport &report = lifetime[k];
         report.invocations += tally.invocations;
         report.accelerated += tally.accelerated;
-        report.falsePositives += tally.falsePositives;
-        report.falseNegatives += tally.falseNegatives;
     }
     return call;
 }

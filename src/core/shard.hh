@@ -19,8 +19,10 @@
  *    Classifier::decideBatch() over fixed-size blocks, which lets
  *    table designs use their SIMD quantize/hash kernels instead of a
  *    per-row virtual call. A serial per-shard accounting pass then
- *    applies the watchdog, oracle false-decision counting and the
- *    online-sampling schedule in ascending index order.
+ *    applies the watchdog and the online-sampling schedule in
+ *    ascending index order. Oracle false-decision counts are not
+ *    runtime work: the offline Evaluator derives them from the final
+ *    routing.
  *
  * Determinism contract (see DESIGN.md §12):
  *
@@ -95,10 +97,6 @@ struct ShardTally
     std::size_t invocations = 0;
     /** Invocations finally routed to the accelerator. */
     std::size_t accelerated = 0;
-    /** Precise decisions the oracle would have accelerated. */
-    std::size_t falsePositives = 0;
-    /** Accelerated decisions the oracle would have run precisely. */
-    std::size_t falseNegatives = 0;
     /** Watchdog audits of either kind (precise re-runs and DEGRADED
      *  shadow runs of the gated accelerator). */
     std::size_t audits = 0;
@@ -122,7 +120,12 @@ struct ShardTally
 /** Knobs of one runShardedDecisions() pass over one dataset. */
 struct DecisionLoopOptions
 {
-    /** Oracle threshold for false-decision accounting. */
+    /**
+     * The watchdog's violation threshold: an audited invocation whose
+     * true error exceeds it counts as a violation. DecisionEngine
+     * builds its watchdogs with it; runShardedDecisions itself does
+     * not read it (the watchdogs it is given carry their threshold).
+     */
     double oracleThreshold = 0.0;
     /** Fraction of invocations whose true error is sampled online. */
     double onlineSampleRate = 0.0;
@@ -167,8 +170,6 @@ struct ShardReport
 {
     std::size_t invocations = 0;
     std::size_t accelerated = 0;
-    std::size_t falsePositives = 0;
-    std::size_t falseNegatives = 0;
     /** Final watchdog snapshot; meaningful only when the parent
      *  ShardedEvaluation has watchdogEnabled set. */
     watchdog::Snapshot watchdog{};
@@ -197,22 +198,14 @@ struct ShardedEvaluation
      * bound (assuming the shards sample one common rate).
      */
     stats::ProportionEnvelope violationEnvelope{};
-    /**
-     * Diagnostic one-look Clopper–Pearson interval on the pooled
-     * audit counts at the full confidence. NOT anytime-valid (it
-     * ignores the sequential looks); reported to show how much the
-     * alpha split plus anytime-validity cost relative to a single
-     * fixed-sample analysis.
-     */
-    stats::ProportionEnvelope pooledEnvelope{};
 };
 
 /**
  * Merge per-shard watchdog evidence into `out`: per-shard snapshots
- * into out.shards[k].watchdog, the worst combined state, the envelope
- * intersection, and the pooled one-look interval. `confidence` is the
- * FULL (unsplit) confidence; out.shards must already have dogs.size()
- * slots. Deterministic: every reduction runs in shard-slot order.
+ * into out.shards[k].watchdog, the worst combined state and the
+ * envelope intersection. `confidence` is the FULL (unsplit)
+ * confidence; out.shards must already have dogs.size() slots.
+ * Deterministic: every reduction runs in shard-slot order.
  */
 void mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                         double confidence, ShardedEvaluation &out);
@@ -238,7 +231,7 @@ class DecisionEngine
      *                 watchdog at splitConfidence(watchdog.confidence,
      *                 shards) seeded with shardSeed(watchdog.seed, k)
      * @param loop     decision-loop knobs; loop.oracleThreshold is
-     *                 also the watchdog's violation threshold, and
+     *                 the watchdogs' violation threshold, and
      *                 loop.streamOffset the stream's first position
      */
     DecisionEngine(std::size_t shards,

@@ -67,8 +67,6 @@ streamTotals(const core::ShardedEvaluation &merged)
     for (const core::ShardReport &shard : merged.shards) {
         total.invocations += shard.invocations;
         total.accelerated += shard.accelerated;
-        total.falsePositives += shard.falsePositives;
-        total.falseNegatives += shard.falseNegatives;
     }
     return total;
 }
@@ -130,10 +128,6 @@ Model::invoke(const float *rows, std::size_t count)
     telemetry::Json::Object batch;
     batch.emplace("invocations", telemetry::Json(count));
     batch.emplace("accelerated", telemetry::Json(tally.accelerated));
-    batch.emplace("falsePositives",
-                  telemetry::Json(tally.falsePositives));
-    batch.emplace("falseNegatives",
-                  telemetry::Json(tally.falseNegatives));
     batch.emplace("audits", telemetry::Json(tally.audits));
     batch.emplace("violations", telemetry::Json(tally.violations));
     batch.emplace("forcedPrecise",
@@ -144,10 +138,6 @@ Model::invoke(const float *rows, std::size_t count)
     totals.emplace("batches", telemetry::Json(engine.calls()));
     totals.emplace("invocations", telemetry::Json(total.invocations));
     totals.emplace("accelerated", telemetry::Json(total.accelerated));
-    totals.emplace("falsePositives",
-                   telemetry::Json(total.falsePositives));
-    totals.emplace("falseNegatives",
-                   telemetry::Json(total.falseNegatives));
     certificate.emplace("total", telemetry::Json(std::move(totals)));
 
     if (engine.watchdogEnabled())

@@ -1,12 +1,10 @@
 #include "telemetry/span.hh"
 
-#include <cstdio>
 #include <ctime>
 #include <fstream>
 
 #include "common/contracts.hh"
 #include "common/env_registry.hh"
-#include "common/format.hh"
 #include "telemetry/stats.hh"
 
 namespace mithra::telemetry
@@ -126,27 +124,6 @@ SpanRegistry::toJson(bool includeTimes) const
         spans.emplace(name, Json(std::move(entry)));
     }
     return Json(std::move(spans));
-}
-
-std::string
-SpanRegistry::dump() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::string out;
-    out += "---------- Begin MITHRA Spans ----------\n";
-    for (const auto &[name, site] : sites) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "%-44s calls %s  wall %.3f ms  cpu %.3f ms\n",
-                      name.c_str(),
-                      fmtCount(static_cast<double>(site->calls()))
-                          .c_str(),
-                      static_cast<double>(site->wallNs()) / 1e6,
-                      static_cast<double>(site->cpuNs()) / 1e6);
-        out += buf;
-    }
-    out += "---------- End MITHRA Spans ----------\n";
-    return out;
 }
 
 void

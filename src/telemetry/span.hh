@@ -12,10 +12,11 @@
  *
  * Each distinct span name owns one SpanSite aggregating call count and
  * total wall/CPU nanoseconds; sites live in the sorted SpanRegistry so
- * dumps iterate deterministically. Invocation *counts* are
- * deterministic and are included in run reports by default; *times*
- * are inherently nondeterministic and only appear when explicitly
- * requested (RunReport timing section, MITHRA_REPORT_TIMING=1).
+ * the JSON export (toJson(), the one export format) iterates
+ * deterministically. Invocation *counts* are deterministic and are
+ * included in run reports by default; *times* are inherently
+ * nondeterministic and only appear when explicitly requested
+ * (RunReport timing section, MITHRA_REPORT_TIMING=1).
  *
  * CPU time (the run report's `cpu_ns`) is the CPU clock of the thread
  * that opened the span, read at entry and exit. It does not include
@@ -114,9 +115,6 @@ class SpanRegistry
      * deterministic call counts are emitted.
      */
     Json toJson(bool includeTimes) const;
-
-    /** Human-readable per-span summary (counts + times). */
-    std::string dump() const;
 
     /** Zero every site's aggregates (registrations stay). */
     void resetValues();

@@ -1,10 +1,8 @@
 #include "telemetry/stats.hh"
 
-#include <cstdio>
 #include <limits>
 
 #include "common/contracts.hh"
-#include "common/format.hh"
 
 namespace mithra::telemetry
 {
@@ -48,11 +46,8 @@ threadOrdinal()
     return ordinal;
 }
 
-Counter::Counter(std::string name, std::string description,
-                 bool isVolatile)
-    : statName(std::move(name)),
-      statDescription(std::move(description)),
-      volatileStat(isVolatile)
+Counter::Counter(std::string name, bool isVolatile)
+    : statName(std::move(name)), volatileStat(isVolatile)
 {
 }
 
@@ -72,15 +67,13 @@ Counter::reset()
         slot.value.store(0, std::memory_order_relaxed);
 }
 
-Gauge::Gauge(std::string name, std::string description)
-    : statName(std::move(name)), statDescription(std::move(description))
+Gauge::Gauge(std::string name) : statName(std::move(name))
 {
 }
 
-Histogram::Histogram(std::string name, std::string description,
-                     double loIn, double hiIn, std::size_t bucketCount)
+Histogram::Histogram(std::string name, double loIn, double hiIn,
+                     std::size_t bucketCount)
     : statName(std::move(name)),
-      statDescription(std::move(description)),
       lo(loIn),
       hi(hiIn),
       buckets(bucketCount),
@@ -197,43 +190,38 @@ nameFree(const std::string &name, const A &a, const B &b, const C &c)
 } // namespace
 
 Counter &
-StatsRegistry::addCounter(const std::string &name,
-                          const std::string &description,
-                          bool isVolatile)
+StatsRegistry::addCounter(const std::string &name, bool isVolatile)
 {
     std::lock_guard<std::mutex> lock(mutex);
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "duplicate stat registration: ", name);
-    auto counter = std::make_unique<Counter>(name, description,
-                                             isVolatile);
+    auto counter = std::make_unique<Counter>(name, isVolatile);
     Counter &ref = *counter;
     counters.emplace(name, std::move(counter));
     return ref;
 }
 
 Gauge &
-StatsRegistry::addGauge(const std::string &name,
-                        const std::string &description)
+StatsRegistry::addGauge(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mutex);
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "duplicate stat registration: ", name);
-    auto gauge = std::make_unique<Gauge>(name, description);
+    auto gauge = std::make_unique<Gauge>(name);
     Gauge &ref = *gauge;
     gauges.emplace(name, std::move(gauge));
     return ref;
 }
 
 Histogram &
-StatsRegistry::addHistogram(const std::string &name,
-                            const std::string &description, double lo,
+StatsRegistry::addHistogram(const std::string &name, double lo,
                             double hi, std::size_t bucketCount)
 {
     std::lock_guard<std::mutex> lock(mutex);
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "duplicate stat registration: ", name);
-    auto histogram = std::make_unique<Histogram>(name, description, lo,
-                                                 hi, bucketCount);
+    auto histogram = std::make_unique<Histogram>(name, lo, hi,
+                                                 bucketCount);
     Histogram &ref = *histogram;
     histograms.emplace(name, std::move(histogram));
     return ref;
@@ -248,7 +236,7 @@ StatsRegistry::counter(const std::string &name, bool isVolatile)
         return *it->second;
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "stat `", name, "' exists with a different kind");
-    auto created = std::make_unique<Counter>(name, "", isVolatile);
+    auto created = std::make_unique<Counter>(name, isVolatile);
     Counter &ref = *created;
     counters.emplace(name, std::move(created));
     return ref;
@@ -263,7 +251,7 @@ StatsRegistry::gauge(const std::string &name)
         return *it->second;
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "stat `", name, "' exists with a different kind");
-    auto created = std::make_unique<Gauge>(name, "");
+    auto created = std::make_unique<Gauge>(name);
     Gauge &ref = *created;
     gauges.emplace(name, std::move(created));
     return ref;
@@ -286,7 +274,7 @@ StatsRegistry::histogram(const std::string &name, double lo, double hi,
     }
     MITHRA_EXPECTS(nameFree(name, counters, gauges, histograms),
                    "stat `", name, "' exists with a different kind");
-    auto created = std::make_unique<Histogram>(name, "", lo, hi,
+    auto created = std::make_unique<Histogram>(name, lo, hi,
                                                bucketCount);
     Histogram &ref = *created;
     histograms.emplace(name, std::move(created));
@@ -315,106 +303,6 @@ StatsRegistry::findHistogram(const std::string &name) const
     std::lock_guard<std::mutex> lock(mutex);
     const auto it = histograms.find(name);
     return it == histograms.end() ? nullptr : it->second.get();
-}
-
-namespace
-{
-
-void
-appendStatLine(std::string &out, const std::string &name,
-               const std::string &value, const std::string &description)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%-44s %16s", name.c_str(),
-                  value.c_str());
-    out += buf;
-    if (!description.empty()) {
-        out += "  # ";
-        out += description;
-    }
-    out.push_back('\n');
-}
-
-std::string
-counterText(std::int64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    std::string text = buf;
-    // Exact value first; the human-scale rendering rides along once it
-    // stops being readable at a glance.
-    if (value >= 10000)
-        text += " (" + fmtCount(static_cast<double>(value)) + ")";
-    return text;
-}
-
-std::string
-gaugeText(double value)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    return buf;
-}
-
-} // namespace
-
-std::string
-StatsRegistry::dump(bool includeVolatile) const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::string out;
-    out += "---------- Begin MITHRA Statistics ----------\n";
-    for (const auto &[name, counter] : counters) {
-        if (counter->isVolatile() && !includeVolatile)
-            continue;
-        appendStatLine(out, name, counterText(counter->value()),
-                       counter->description());
-    }
-    for (const auto &[name, gauge] : gauges) {
-        appendStatLine(out, name, gaugeText(gauge->value()),
-                       gauge->description());
-    }
-    for (const auto &[name, histogram] : histograms) {
-        const std::int64_t samples = histogram->samples();
-        appendStatLine(out, name + "::samples", counterText(samples),
-                       histogram->description());
-        if (!samples)
-            continue;
-        appendStatLine(out, name + "::min",
-                       gaugeText(histogram->minSample()), "");
-        appendStatLine(out, name + "::max",
-                       gaugeText(histogram->maxSample()), "");
-        if (histogram->underflows()) {
-            appendStatLine(out, name + "::underflows",
-                           counterText(histogram->underflows()), "");
-        }
-        const double width = histogram->bucketWidth();
-        for (std::size_t b = 0; b < histogram->numBuckets(); ++b) {
-            const std::int64_t count = histogram->bucketCountAt(b);
-            if (!count)
-                continue;
-            char edge[96];
-            std::snprintf(
-                edge, sizeof(edge), "::[%.6g,%.6g)",
-                histogram->lowerBound()
-                    + width * static_cast<double>(b),
-                histogram->lowerBound()
-                    + width * static_cast<double>(b + 1));
-            appendStatLine(out, name + edge,
-                           counterText(count) + " "
-                               + fmtPct(100.0
-                                        * static_cast<double>(count)
-                                        / static_cast<double>(samples)),
-                           "");
-        }
-        if (histogram->overflows()) {
-            appendStatLine(out, name + "::overflows",
-                           counterText(histogram->overflows()), "");
-        }
-    }
-    out += "---------- End MITHRA Statistics ----------\n";
-    return out;
 }
 
 Json

@@ -1,13 +1,13 @@
 /**
  * @file
  * Deterministic stats registry: named counters, gauges and fixed-bucket
- * histograms with a gem5-style formatted dump.
+ * histograms, exported as JSON (toJson()).
  *
- * Determinism contract (what makes the dump diffable across runs and
+ * Determinism contract (what makes the export diffable across runs and
  * thread counts):
  *
  *  - **Sorted iteration.** Stats live in ordered maps keyed by name;
- *    every dump and JSON export walks them in sorted-name order. No
+ *    the JSON export walks them in sorted-name order. No
  *    unordered containers anywhere (per the lint rules).
  *  - **Integer accumulation.** Counters and histogram buckets are
  *    64-bit integers, so concurrent accumulation is exact regardless
@@ -56,12 +56,12 @@ class Counter
   public:
     /**
      * `isVolatile` marks values that legitimately vary run to run or
-     * with the thread count (e.g. chunk-placement statistics); dumps
-     * and reports exclude them unless explicitly asked, preserving
-     * the bitwise determinism guarantee for everything else.
+     * with the thread count (e.g. chunk-placement statistics); the
+     * export and reports exclude them unless explicitly asked,
+     * preserving the bitwise determinism guarantee for everything
+     * else.
      */
-    Counter(std::string name, std::string description,
-            bool isVolatile = false);
+    explicit Counter(std::string name, bool isVolatile = false);
 
     Counter(const Counter &) = delete;
     Counter &operator=(const Counter &) = delete;
@@ -81,7 +81,6 @@ class Counter
     void reset();
 
     const std::string &name() const { return statName; }
-    const std::string &description() const { return statDescription; }
     bool isVolatile() const { return volatileStat; }
 
   private:
@@ -91,7 +90,6 @@ class Counter
     };
 
     std::string statName;
-    std::string statDescription;
     bool volatileStat;
     std::array<Slot, counterStripes> slots;
 };
@@ -100,7 +98,7 @@ class Counter
 class Gauge
 {
   public:
-    Gauge(std::string name, std::string description);
+    explicit Gauge(std::string name);
 
     Gauge(const Gauge &) = delete;
     Gauge &operator=(const Gauge &) = delete;
@@ -118,11 +116,9 @@ class Gauge
     void reset() { set(0.0); }
 
     const std::string &name() const { return statName; }
-    const std::string &description() const { return statDescription; }
 
   private:
     std::string statName;
-    std::string statDescription;
     std::atomic<double> gaugeValue{0.0};
 };
 
@@ -135,8 +131,8 @@ class Gauge
 class Histogram
 {
   public:
-    Histogram(std::string name, std::string description, double lo,
-              double hi, std::size_t bucketCount);
+    Histogram(std::string name, double lo, double hi,
+              std::size_t bucketCount);
 
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
@@ -159,11 +155,9 @@ class Histogram
     void reset();
 
     const std::string &name() const { return statName; }
-    const std::string &description() const { return statDescription; }
 
   private:
     std::string statName;
-    std::string statDescription;
     double lo;
     double hi;
     std::vector<std::atomic<std::int64_t>> buckets;
@@ -195,12 +189,9 @@ class StatsRegistry
      * lifetime.
      */
     Counter &addCounter(const std::string &name,
-                        const std::string &description = "",
                         bool isVolatile = false);
-    Gauge &addGauge(const std::string &name,
-                    const std::string &description = "");
-    Histogram &addHistogram(const std::string &name,
-                            const std::string &description, double lo,
+    Gauge &addGauge(const std::string &name);
+    Histogram &addHistogram(const std::string &name, double lo,
                             double hi, std::size_t bucketCount);
 
     /**
@@ -219,13 +210,10 @@ class StatsRegistry
     const Histogram *findHistogram(const std::string &name) const;
 
     /**
-     * gem5-style text dump in sorted-name order. Deterministic: same
-     * recorded values produce the same bytes at any thread count.
-     * Volatile stats appear only when `includeVolatile` is set.
+     * All stats as a JSON object in sorted-name order. Deterministic:
+     * same recorded values produce the same document at any thread
+     * count. Volatile stats appear only when `includeVolatile` is set.
      */
-    std::string dump(bool includeVolatile = false) const;
-
-    /** All stats as a JSON object (same determinism as dump()). */
     Json toJson(bool includeVolatile = false) const;
 
     /** Zero every registered stat (registrations stay). */

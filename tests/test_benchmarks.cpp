@@ -263,8 +263,9 @@ TEST(SobelKernel, FlatImageHasNoEdges)
         bool flat = true;
         for (std::size_t k = 1; k < 9; ++k)
             flat &= in[k] == in[0];
-        if (flat)
+        if (flat) {
             EXPECT_FLOAT_EQ(magnitude, 0.0f);
+        }
     }
 }
 

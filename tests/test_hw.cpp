@@ -220,8 +220,9 @@ TEST(TableEnsemble, TrainedPrecisePatternsAlwaysRedirect)
     ensemble.train(tuples);
 
     for (const auto &tuple : tuples) {
-        if (tuple.precise)
+        if (tuple.precise) {
             EXPECT_TRUE(ensemble.decidePrecise(tuple.codes));
+        }
     }
 }
 
@@ -359,8 +360,9 @@ TEST_P(GeometrySweep, TrainedPatternsAlwaysRedirect)
     const auto ensemble = trainGreedyEnsemble(geometry, tuples);
 
     for (const auto &tuple : tuples) {
-        if (tuple.precise)
+        if (tuple.precise) {
             EXPECT_TRUE(ensemble.decidePrecise(tuple.codes));
+        }
     }
     EXPECT_EQ(ensemble.toBytes().size(), geometry.totalBytes());
 }

@@ -279,8 +279,8 @@ struct KmeansEnv
     CompiledWorkload workload;
     QualitySpec spec = kmeansSpec();
     double threshold = 0.0;
-    std::unique_ptr<TableClassifier> table;
-    ValidationSet validation;
+    std::unique_ptr<TableClassifier> table{};
+    ValidationSet validation{};
 };
 
 KmeansEnv &
