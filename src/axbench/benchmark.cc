@@ -138,13 +138,6 @@ InvocationTrace::maxAbsError(std::size_t i) const
     return localErrors[i];
 }
 
-std::span<const float>
-InvocationTrace::maxAbsErrors() const
-{
-    MITHRA_ASSERT(approximated, "no approximations attached yet");
-    return localErrors;
-}
-
 npu::TrainerOptions
 Benchmark::npuTrainerOptions() const
 {

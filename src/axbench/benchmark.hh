@@ -88,13 +88,10 @@ class InvocationTrace
     /**
      * Largest |precise - approx| across the output vector of
      * invocation i — the accelerator's local error (paper Eq. 1).
-     * Precomputed when the approximations attach, so this is one load
-     * on the runtime decision loop's accounting path.
+     * Precomputed when the approximations attach, so an audit in the
+     * runtime decision loop reads it instead of running both paths.
      */
     float maxAbsError(std::size_t i) const;
-
-    /** All count() local errors as one flat buffer (batch loops). */
-    std::span<const float> maxAbsErrors() const;
 
   private:
     float computeError(std::size_t i) const;

@@ -34,7 +34,8 @@ class Classifier
     /**
      * Called before iterating one dataset's invocations. The oracle
      * uses the trace to look up true accelerator errors; stateful
-     * designs may reset here.
+     * designs may reset here. A served `/invoke` batch passes a
+     * zero-row trace: served designs decide from the inputs alone.
      */
     virtual void beginDataset(const axbench::InvocationTrace &trace);
 

@@ -15,6 +15,18 @@
 namespace mithra::core
 {
 
+float
+CompiledWorkload::auditError(const float *row, std::size_t width) const
+{
+    // Through a one-row trace, so the accelerator choice and the error
+    // ops are those of every cached trace.
+    const Vec input(row, row + width);
+    axbench::InvocationTrace one(width, benchmark->npuTopology().back());
+    one.append(input, benchmark->targetFunction(input));
+    attachApproximations(one);
+    return one.maxAbsError(0);
+}
+
 Pipeline::Pipeline(const PipelineOptions &options)
     : pipelineOptions(options)
 {

@@ -51,6 +51,9 @@ struct CompiledWorkload
         else
             trace.attachApproximations(accel);
     }
+    /** The local error (paper Eq. 1) of one input row of `width`
+     *  floats, bitwise what a trace of it caches. Reentrant. */
+    float auditError(const float *row, std::size_t width) const;
     /** Representative compile datasets and their traces. */
     std::vector<std::unique_ptr<axbench::Dataset>> compileDatasets;
     std::vector<std::unique_ptr<axbench::InvocationTrace>> compileTraces;

@@ -9,17 +9,20 @@
 #include <string>
 #include <vector>
 
-#include "common/format.hh"
-
 namespace mithra::core
 {
 
-// The format helpers live in common/format.hh; re-exported here for
-// the harness binaries.
-using mithra::fmtBytes;
-using mithra::fmtKb;
-using mithra::fmtPct;
-using mithra::fmtRatio;
+/** "12.3%" with the given number of decimals. */
+std::string fmtPct(double value, int decimals = 1);
+
+/** "2.53x" with the given number of decimals. */
+std::string fmtRatio(double value, int decimals = 2);
+
+/** "512 B" below 1 KiB, "1.50 KB" above. */
+std::string fmtBytes(double bytes);
+
+/** Bytes rendered as "12.00 KB". */
+std::string fmtKb(double bytes, int decimals = 2);
 
 /** A simple aligned console table. */
 class TablePrinter

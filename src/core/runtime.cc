@@ -116,9 +116,9 @@ Evaluator::evaluate(Classifier &classifier,
 
         // Oracle false-decision accounting against the final routing:
         // evaluation-only work, kept out of the decision engine.
-        const float *errors = trace.maxAbsErrors().data();
         for (std::size_t i = 0; i < trace.count(); ++i) {
-            const bool oraclePrecise = errors[i] > oracleThreshold;
+            const bool oraclePrecise =
+                trace.maxAbsError(i) > oracleThreshold;
             if (!decisions[i] && !oraclePrecise)
                 ++falsePositives;
             else if (decisions[i] && oraclePrecise)

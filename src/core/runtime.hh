@@ -61,14 +61,12 @@ ValidationSet makeValidationSet(const CompiledWorkload &workload,
                                 std::size_t count = 0);
 
 /**
- * Build an invocation trace for externally supplied input rows (the
- * service's `/invoke` path, DESIGN.md §14): per row the benchmark's
- * pointwise target function supplies the precise output, then the
- * workload's trained accelerator attaches its approximate outputs.
- * `rows` holds `count` row-major rows of `width` floats; `width` must
- * equal the accelerator FIFO width (the NPU topology's input width).
- * Deterministic: a pure function of (workload, rows) at any
- * MITHRA_THREADS.
+ * Trace `count` externally supplied row-major input rows of `width`
+ * (the accelerator FIFO width) floats: precise outputs from the
+ * benchmark's pointwise target function, then the trained
+ * accelerator's approximations. The reference for a served batch,
+ * whose `/invoke` computes outputs only for audited rows.
+ * Deterministic: a pure function of (workload, rows) at any threads.
  */
 axbench::InvocationTrace traceFromInputs(const CompiledWorkload &workload,
                                          const float *rows,

@@ -51,7 +51,7 @@ constexpr std::size_t decisionBlock = 512;
  * and recompose() routing on exit (1 = accelerate).
  */
 void
-accountBlock(const float *errors, watchdog::Watchdog *dog,
+accountBlock(const DecisionRows &rows, watchdog::Watchdog *dog,
              const DecisionLoopOptions &options, std::size_t blockBegin,
              std::size_t blockEnd, std::uint8_t *decisions,
              ShardTally &tally)
@@ -61,15 +61,15 @@ accountBlock(const float *errors, watchdog::Watchdog *dog,
 
         if (dog) {
             // The watchdog may overrule the classifier (DEGRADED
-            // forces the precise path) and may schedule an audit,
-            // served here from the trace's cached true error.
+            // forces the precise path) and may schedule an audit, the
+            // only place the row's true error is asked for.
             const watchdog::Routing routing = dog->route(!precise);
             if (!precise && !routing.useAccel)
                 ++tally.forcedPrecise;
             if (routing.audited()) {
                 ++tally.audits;
                 const bool wasDegraded = dog->degraded();
-                if (dog->reportAudit(errors[i]))
+                if (dog->reportAudit(rows.auditError(i)))
                     ++tally.violations;
                 if (!wasDegraded && dog->degraded()
                     && tally.firstTripAt == watchdog::noTrip)
@@ -114,25 +114,21 @@ stateSeverity(watchdog::State state)
 } // namespace
 
 void
-runShardedDecisions(Classifier &classifier,
-                    const axbench::InvocationTrace &trace,
+runShardedDecisions(Classifier &classifier, const DecisionRows &rows,
                     const ShardPlan &plan,
                     std::vector<watchdog::Watchdog> &dogs,
                     const DecisionLoopOptions &options,
                     std::uint8_t *decisions,
                     std::vector<ShardTally> &tallies)
 {
-    MITHRA_EXPECTS(plan.total == trace.count(),
-                   "plan covers ", plan.total, " invocations, trace has ",
-                   trace.count());
+    MITHRA_EXPECTS(plan.total == rows.count,
+                   "plan covers ", plan.total, " invocations, got ",
+                   rows.count, " rows");
     MITHRA_EXPECTS(dogs.empty() || dogs.size() == plan.shards,
                    "need one watchdog per shard or none, got ",
                    dogs.size(), " for ", plan.shards, " shards");
 
     tallies.assign(plan.shards, ShardTally{});
-    const float *inputs = trace.inputsFlat().data();
-    const float *errors = trace.maxAbsErrors().data();
-    const std::size_t width = trace.inputWidth();
     const bool approximate = classifier.approximationEnabled();
 
     parallelFor(0, plan.shards, 1, [&](std::size_t k) {
@@ -152,15 +148,15 @@ runShardedDecisions(Classifier &classifier,
             // cover disjoint ranges), then run the serial accounting
             // pass which rewrites it into routing convention.
             if (approximate) {
-                classifier.decideBatch(inputs + blockBegin * width,
-                                       width, count, blockBegin,
+                classifier.decideBatch(rows.inputs + blockBegin * rows.width,
+                                       rows.width, count, blockBegin,
                                        decisions + blockBegin);
             } else {
                 // Fail closed: every decision is "precise".
                 for (std::size_t i = 0; i < count; ++i)
                     decisions[blockBegin + i] = 1;
             }
-            accountBlock(errors, dog, options, blockBegin, blockEnd,
+            accountBlock(rows, dog, options, blockBegin, blockEnd,
                          decisions, tally);
         }
     });
@@ -176,11 +172,13 @@ mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
                    dogs.size(), " watchdogs");
 
     out.watchdogEnabled = true;
-    out.shardConfidence = stats::splitConfidence(confidence,
-                                                 dogs.size());
     out.combinedState = watchdog::State::Healthy;
     out.violationEnvelope = stats::ProportionEnvelope{};
     for (std::size_t k = 0; k < dogs.size(); ++k) {
+        // The union bound needs every shard at its alpha / N share.
+        MITHRA_EXPECTS(dogs[k].bound().confidence()
+                           == stats::splitConfidence(confidence, dogs.size()),
+                       "shard ", k, " did not run at the split confidence");
         const watchdog::Snapshot snap = dogs[k].snapshot();
         out.shards[k].watchdog = snap;
 
@@ -219,14 +217,13 @@ DecisionEngine::DecisionEngine(std::size_t shards,
 }
 
 ShardTally
-DecisionEngine::decide(Classifier &classifier,
-                       const axbench::InvocationTrace &trace,
+DecisionEngine::decide(Classifier &classifier, const DecisionRows &rows,
                        std::uint8_t *decisions)
 {
-    runShardedDecisions(classifier, trace,
-                        ShardPlan(trace.count(), lifetime.size()), dogs,
+    runShardedDecisions(classifier, rows,
+                        ShardPlan(rows.count, lifetime.size()), dogs,
                         loop, decisions, tallies);
-    loop.streamOffset += trace.count();
+    loop.streamOffset += rows.count;
     ++numCalls;
 
     // Slot-ordered fold: shard 0, 1, ... regardless of which worker

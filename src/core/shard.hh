@@ -20,9 +20,9 @@
  *    table designs use their SIMD quantize/hash kernels instead of a
  *    per-row virtual call. A serial per-shard accounting pass then
  *    applies the watchdog and the online-sampling schedule in
- *    ascending index order. Oracle false-decision counts are not
- *    runtime work: the offline Evaluator derives them from the final
- *    routing.
+ *    ascending index order; only audited rows need their true error.
+ *    Oracle false-decision counts are not runtime work: the offline
+ *    Evaluator derives them from the final routing.
  *
  * Determinism contract (see DESIGN.md §12):
  *
@@ -56,6 +56,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.hh"
@@ -90,6 +92,34 @@ struct ShardPlan
  * schedules while keeping each a pure function of (base seed, shard).
  */
 std::uint64_t shardSeed(std::uint64_t baseSeed, std::size_t shard);
+
+/**
+ * One decision pass's `count` row-major input rows of `width` floats,
+ * and the true error of row i (paper Eq. 1), which the loop asks for
+ * only when the watchdog audits that row — concurrently from
+ * different shards. A trace converts implicitly, with its cached
+ * errors; a served model computes them on demand (DESIGN.md §12).
+ */
+struct DecisionRows
+{
+    const float *inputs;
+    std::size_t width;
+    std::size_t count;
+    std::function<float(std::size_t)> auditError;
+
+    DecisionRows(const float *rows, std::size_t rowWidth,
+                 std::size_t rowCount, std::function<float(std::size_t)> error)
+        : inputs(rows), width(rowWidth), count(rowCount),
+          auditError(std::move(error))
+    {
+    }
+    DecisionRows(const axbench::InvocationTrace &trace)
+        : DecisionRows(trace.inputsFlat().data(), trace.inputWidth(),
+                       trace.count(),
+                       [&trace](std::size_t i) { return trace.maxAbsError(i); })
+    {
+    }
+};
 
 /** What one shard counted while deciding its index range. */
 struct ShardTally
@@ -144,21 +174,20 @@ struct DecisionLoopOptions
  * Decide one dataset's invocations, sharded and batch-first.
  *
  * @param classifier the design under evaluation; beginDataset() must
- *                   already have been called for this trace
- * @param trace      the dataset's invocation trace (with attached
- *                   accelerator outputs)
- * @param plan       the shard partition of [0, trace.count())
+ *                   already have been called for this dataset
+ * @param rows       the dataset's input rows and their error source
+ *                   (an InvocationTrace converts implicitly)
+ * @param plan       the shard partition of [0, rows.count)
  * @param dogs       per-shard watchdogs — either empty (watchdog off)
  *                   or exactly plan.shards instances; dogs[k] consumes
  *                   shard k's subsequence in ascending order
  * @param options    loop knobs (see DecisionLoopOptions)
- * @param decisions  out: trace.count() entries, 1 = accelerate
+ * @param decisions  out: rows.count entries, 1 = accelerate
  *                   (recompose()'s convention), 0 = precise
  * @param tallies    out: resized to plan.shards, slot k holds shard
  *                   k's counts
  */
-void runShardedDecisions(Classifier &classifier,
-                         const axbench::InvocationTrace &trace,
+void runShardedDecisions(Classifier &classifier, const DecisionRows &rows,
                          const ShardPlan &plan,
                          std::vector<watchdog::Watchdog> &dogs,
                          const DecisionLoopOptions &options,
@@ -181,12 +210,6 @@ struct ShardedEvaluation
     /** Shards each dataset was split into. */
     std::size_t shardCount = 1;
     bool watchdogEnabled = false;
-    /**
-     * Envelope confidence each shard's watchdog ran at:
-     * splitConfidence(confidence, shardCount), i.e. alpha / N per
-     * shard so the merged envelope holds at the full confidence.
-     */
-    double shardConfidence = 0.0;
     /** Slot k = shard k, in shard order. */
     std::vector<ShardReport> shards;
     /** Worst per-shard watchdog state (severity Healthy < Recovered
@@ -204,7 +227,8 @@ struct ShardedEvaluation
  * Merge per-shard watchdog evidence into `out`: per-shard snapshots
  * into out.shards[k].watchdog, the worst combined state and the
  * envelope intersection. `confidence` is the FULL (unsplit)
- * confidence; out.shards must already have dogs.size() slots.
+ * confidence; every watchdog must run at splitConfidence(confidence,
+ * dogs.size()), and out.shards must already have dogs.size() slots.
  * Deterministic: every reduction runs in shard-slot order.
  */
 void mergeShardEvidence(const std::vector<watchdog::Watchdog> &dogs,
@@ -240,16 +264,15 @@ class DecisionEngine
 
     /**
      * Decide one dataset or batch with runShardedDecisions() and
-     * advance the stream position past it. beginDataset(trace) must
-     * already have been called on the classifier.
+     * advance the stream position past it. beginDataset() must
+     * already have been called on the classifier for this dataset.
      *
-     * @param decisions out: trace.count() entries, 1 = accelerate
+     * @param decisions out: rows.count entries, 1 = accelerate
      * @return this call's tallies folded in slot order: counts
      *         summed, firstTripAt the earliest trip, sampledIndices
      *         concatenated shard by shard (ascending stream order)
      */
-    ShardTally decide(Classifier &classifier,
-                      const axbench::InvocationTrace &trace,
+    ShardTally decide(Classifier &classifier, const DecisionRows &rows,
                       std::uint8_t *decisions);
 
     /**
@@ -258,7 +281,6 @@ class DecisionEngine
      */
     ShardedEvaluation evidence() const;
 
-    std::size_t shardCount() const { return lifetime.size(); }
     bool watchdogEnabled() const { return !dogs.empty(); }
     /** decide() calls so far. */
     std::size_t calls() const { return numCalls; }

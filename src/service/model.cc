@@ -99,14 +99,18 @@ Model::invoke(const float *rows, std::size_t count)
     MITHRA_EXPECTS(count > 0, "invoke batch must not be empty");
     std::lock_guard<std::mutex> hold(mutex);
 
-    const axbench::InvocationTrace trace =
-        core::traceFromInputs(workload, rows, width, count);
-    classifier->beginDataset(trace);
-
+    // A new dataset without outputs: served designs decide from the
+    // inputs alone, and only audited rows compute their true error.
+    classifier->beginDataset(axbench::InvocationTrace(
+        width, workload.benchmark->npuTopology().back()));
+    const core::DecisionRows batchRows(
+        rows, width, count, [&](std::size_t i) {
+            return workload.auditError(rows + i * width, width);
+        });
     InvokeOutcome outcome;
     outcome.decisions.resize(count);
     const core::ShardTally tally =
-        engine.decide(*classifier, trace, outcome.decisions.data());
+        engine.decide(*classifier, batchRows, outcome.decisions.data());
     const core::ShardedEvaluation merged = engine.evidence();
     const core::ShardReport total = streamTotals(merged);
 

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "core/runtime.hh"
 #include "core/shard.hh"
 #include "core/watchdog/watchdog.hh"
 #include "telemetry/json.hh"
@@ -76,10 +75,11 @@ class Model
 
     /**
      * Decide one batch of `count` row-major input rows of
-     * inputWidth() floats each: ground-truth + accelerator outputs
-     * via core::traceFromInputs, decisions and certificate evidence
-     * via the model's core::DecisionEngine. Serializes concurrent
-     * callers — the watchdog evidence stream is strictly ordered.
+     * inputWidth() floats each through the model's
+     * core::DecisionEngine: the classifier sees only the inputs, and
+     * a row's precise and accelerator outputs are computed only when
+     * the watchdog audits it. Serializes concurrent callers — the
+     * watchdog evidence stream is strictly ordered.
      */
     InvokeOutcome invoke(const float *rows, std::size_t count);
 

@@ -372,7 +372,6 @@ TEST(ShardedRuntime, MergedEvidenceIsSlotOrderedReduction)
     const ShardedEvaluation &evidence = run.evidence;
     ASSERT_TRUE(evidence.watchdogEnabled);
     ASSERT_EQ(evidence.shards.size(), 4u);
-    EXPECT_EQ(evidence.shardConfidence, stats::splitConfidence(0.95, 4));
     EXPECT_EQ(evidence.combinedState, watchdog::State::Degraded);
 
     std::size_t audits = 0;

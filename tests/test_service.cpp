@@ -2,7 +2,8 @@
  * @file
  * Service layer tests: the strict HTTP/1.1 parser's edge cases
  * (oversized headers, truncated lines, pipelining, body limits), the
- * socket-free router's error contract, model reproducibility across
+ * socket-free router's error contract, classify-first `/invoke`
+ * against the full-trace reference, model reproducibility across
  * independently compiled jobs, and a live-socket end-to-end lifecycle
  * with concurrent clients (the tsan-labeled heavy path).
  */
@@ -12,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,10 +27,15 @@
 
 #include <gtest/gtest.h>
 
+#include "axbench/drift.hh"
+#include "axbench/registry.hh"
+#include "common/parallel.hh"
+#include "core/runtime.hh"
 #include "service/client.hh"
 #include "service/http.hh"
 #include "service/model.hh"
 #include "service/server.hh"
+#include "stats/sequential_bound.hh"
 #include "telemetry/json.hh"
 #include "telemetry/run_report.hh"
 
@@ -477,6 +484,290 @@ TEST(ModelCertificate, BatchAndTotalCountsArePinned)
             EXPECT_EQ(counts.find("falseNegatives"), nullptr);
         }
     }
+}
+
+namespace
+{
+
+/** The pinned model's inversek2j compile: about a second. */
+core::CompiledWorkload
+compileTiny()
+{
+    core::PipelineOptions options;
+    options.compileDatasetCount = 6;
+    options.npuTrainSamples = 500;
+    options.classifierTuples = 5000;
+    return core::Pipeline(options).compile("inversek2j");
+}
+
+/** What a served model needs of `compiled`: a fresh benchmark
+ *  instance and the same trained accelerator. */
+core::CompiledWorkload
+servedCopy(const core::CompiledWorkload &compiled)
+{
+    core::CompiledWorkload copy;
+    copy.benchmark = axbench::makeBenchmark(compiled.benchmark->name());
+    copy.accel = compiled.accel;
+    return copy;
+}
+
+/** A densely audited model config that trips on a drifted stream. */
+service::ModelConfig
+auditingConfig(std::size_t shards)
+{
+    service::ModelConfig config;
+    config.shards = shards;
+    config.watchdog.baseAuditRate = 0.3;
+    config.watchdog.suspectAuditRate = 0.6;
+    config.watchdog.degradedAuditRate = 0.3;
+    config.watchdog.maxViolationRate = 0.05;
+    return config;
+}
+
+constexpr double auditingThreshold = 0.12;
+constexpr std::uint64_t filterSeed = 0x91eULL;
+
+/**
+ * The pre-classify-first `/invoke`: every row's precise and
+ * accelerator outputs in a trace, then the decision loop on it with
+ * watchdogs built as service::Model builds them. Produces the
+ * certificate in Model::invoke's layout.
+ */
+class TraceReference
+{
+  public:
+    TraceReference(const core::CompiledWorkload &compiled,
+                   const service::ModelConfig &modelConfig)
+        : workload(compiled), config(modelConfig),
+          classifier(0.25, filterSeed)
+    {
+        for (std::size_t k = 0; k < config.shards; ++k) {
+            core::watchdog::WatchdogOptions options = config.watchdog;
+            options.confidence = stats::splitConfidence(
+                config.watchdog.confidence, config.shards);
+            options.seed = core::shardSeed(config.watchdog.seed, k);
+            dogs.emplace_back(options, auditingThreshold);
+        }
+    }
+
+    service::InvokeOutcome invoke(const float *rows, std::size_t count)
+    {
+        const std::size_t width = workload.benchmark->npuTopology()[0];
+        const axbench::InvocationTrace trace =
+            core::traceFromInputs(workload, rows, width, count);
+        classifier.beginDataset(trace);
+        service::InvokeOutcome outcome;
+        outcome.decisions.resize(count);
+        core::DecisionLoopOptions loop;
+        loop.streamOffset = position;
+        std::vector<core::ShardTally> tallies;
+        core::runShardedDecisions(classifier, trace,
+                                  core::ShardPlan(count, dogs.size()),
+                                  dogs, loop, outcome.decisions.data(),
+                                  tallies);
+        position += count;
+        ++batches;
+
+        core::ShardTally batch;
+        for (const core::ShardTally &tally : tallies) {
+            batch.accelerated += tally.accelerated;
+            batch.audits += tally.audits;
+            batch.violations += tally.violations;
+            batch.forcedPrecise += tally.forcedPrecise;
+        }
+        accelerated += batch.accelerated;
+        core::ShardedEvaluation merged;
+        merged.shards.resize(dogs.size());
+        core::mergeShardEvidence(dogs, config.watchdog.confidence,
+                                 merged);
+        outcome.certificate = certificate(count, batch, merged);
+        return outcome;
+    }
+
+  private:
+    Json certificate(std::size_t count, const core::ShardTally &batch,
+                     const core::ShardedEvaluation &merged) const
+    {
+        Json::Array perShard;
+        std::size_t audits = 0;
+        std::size_t violations = 0;
+        for (const core::ShardReport &shard : merged.shards) {
+            const core::watchdog::Snapshot &snap = shard.watchdog;
+            audits += snap.audits;
+            violations += snap.violations;
+            perShard.push_back(Json(Json::Object{
+                {"state", Json(core::watchdog::stateName(snap.state))},
+                {"invocations", Json(snap.invocations)},
+                {"audits", Json(snap.audits)},
+                {"violations", Json(snap.violations)},
+                {"lower", Json(snap.violationLowerBound)},
+                {"upper", Json(snap.violationUpperBound)}}));
+        }
+        const Json watchdog(Json::Object{
+            {"state",
+             Json(core::watchdog::stateName(merged.combinedState))},
+            {"envelope",
+             Json(Json::Object{
+                 {"confidence", Json(config.watchdog.confidence)},
+                 {"lower", Json(merged.violationEnvelope.lower)},
+                 {"upper", Json(merged.violationEnvelope.upper)}})},
+            {"audits", Json(audits)},
+            {"violations", Json(violations)},
+            {"perShard", Json(std::move(perShard))}});
+        return Json(Json::Object{
+            {"model", Json("ref")},
+            {"benchmark", Json(workload.benchmark->name())},
+            {"design", Json(config.design)},
+            {"shards", Json(config.shards)},
+            {"threshold", Json(auditingThreshold)},
+            {"watchdogEnabled", Json(true)},
+            {"batch",
+             Json(Json::Object{
+                 {"invocations", Json(count)},
+                 {"accelerated", Json(batch.accelerated)},
+                 {"audits", Json(batch.audits)},
+                 {"violations", Json(batch.violations)},
+                 {"forcedPrecise", Json(batch.forcedPrecise)}})},
+            {"total",
+             Json(Json::Object{{"batches", Json(batches)},
+                               {"invocations", Json(position)},
+                               {"accelerated", Json(accelerated)}})},
+            {"watchdog", watchdog}});
+    }
+
+    const core::CompiledWorkload &workload;
+    service::ModelConfig config;
+    core::RandomFilterClassifier classifier;
+    std::vector<core::watchdog::Watchdog> dogs;
+    std::size_t position = 0;
+    std::size_t batches = 0;
+    std::size_t accelerated = 0;
+};
+
+/** An accelerator that counts its invocations around a trained NPU. */
+class CountingAccelerator final : public axbench::Accelerator
+{
+  public:
+    CountingAccelerator(npu::Approximator trained,
+                        std::atomic<std::size_t> &counter)
+        : npu(std::move(trained)), calls(counter)
+    {
+    }
+
+    std::string kind() const override { return "counting"; }
+    double trainToMimic(const VecBatch &, const VecBatch &,
+                        std::uint64_t) override
+    {
+        return 0.0;
+    }
+    bool trained() const override { return true; }
+    Vec invoke(const Vec &input) const override
+    {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return npu.invoke(input);
+    }
+    axbench::AcceleratorCost invocationCost() const override
+    {
+        return {};
+    }
+
+  private:
+    npu::Approximator npu;
+    std::atomic<std::size_t> &calls;
+};
+
+} // namespace
+
+TEST(ModelInvoke, MatchesTraceReference)
+{
+    // A 2-sigma drifted stream takes the accelerator off its training
+    // distribution, so the dense audits find violations and every
+    // configuration trips. Model::invoke computes true errors only
+    // for audited rows; the reference computes them for every row.
+    // Decisions and certificates must agree byte for byte.
+    const core::CompiledWorkload compiled = compileTiny();
+    const axbench::InvocationTrace &source = *compiled.compileTraces[0];
+    axbench::DriftSpec drift;
+    drift.shiftSigma = 2.0;
+    drift.scrambleSigns = true;
+    const axbench::InvocationTrace drifted = axbench::driftTrace(
+        *compiled.benchmark, compiled.accel, source,
+        axbench::measureInputMoments(source), drift);
+    const std::size_t width = drifted.inputWidth();
+    const float *inputs = drifted.inputsFlat().data();
+    constexpr std::size_t batchRows = 250;
+    constexpr std::size_t numBatches = 6;
+    ASSERT_GE(drifted.count(), batchRows * numBatches);
+
+    core::ThresholdResult threshold;
+    threshold.threshold = auditingThreshold;
+    for (const std::size_t shards : {1, 3, 4}) {
+        const service::ModelConfig config = auditingConfig(shards);
+        TraceReference reference(compiled, config);
+        std::vector<service::InvokeOutcome> expected;
+        for (std::size_t b = 0; b < numBatches; ++b)
+            expected.push_back(reference.invoke(
+                inputs + b * batchRows * width, batchRows));
+        const Json &last = expected.back().certificate;
+        EXPECT_GT(last.find("watchdog")->find("audits")->asInt(), 0);
+        EXPECT_EQ(last.find("watchdog")->find("state")->asString(),
+                  "degraded");
+
+        for (const std::size_t threads : {1, 2, 8}) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + ", threads "
+                         + std::to_string(threads));
+            setParallelThreadCount(threads);
+            service::Model model(
+                "ref", servedCopy(compiled),
+                std::make_unique<core::RandomFilterClassifier>(
+                    0.25, filterSeed),
+                threshold, config);
+            for (std::size_t b = 0; b < numBatches; ++b) {
+                const service::InvokeOutcome got = model.invoke(
+                    inputs + b * batchRows * width, batchRows);
+                EXPECT_EQ(got.decisions, expected[b].decisions);
+                EXPECT_EQ(got.certificate.dump(),
+                          expected[b].certificate.dump());
+            }
+            setParallelThreadCount(1);
+        }
+    }
+}
+
+TEST(ModelInvoke, ComputesGroundTruthOnlyForAuditedRows)
+{
+    // The accelerator runs only to measure an audited row's true
+    // error: the classifier decides from the inputs alone, and a
+    // served model never produces accelerator outputs itself.
+    const core::CompiledWorkload compiled = compileTiny();
+    std::atomic<std::size_t> calls{0};
+    core::CompiledWorkload served = servedCopy(compiled);
+    served.backend =
+        std::make_unique<CountingAccelerator>(compiled.accel, calls);
+    core::ThresholdResult threshold;
+    threshold.threshold = auditingThreshold;
+    service::Model model(
+        "count", std::move(served),
+        std::make_unique<core::RandomFilterClassifier>(0.25, filterSeed),
+        threshold, auditingConfig(3));
+
+    const axbench::InvocationTrace &source = *compiled.compileTraces[0];
+    const std::size_t width = source.inputWidth();
+    constexpr std::size_t batchRows = 300;
+    std::size_t audits = 0;
+    std::size_t rows = 0;
+    for (std::size_t b = 0; b < 5; ++b) {
+        const service::InvokeOutcome outcome =
+            model.invoke(source.inputsFlat().data()
+                             + b * batchRows * width,
+                         batchRows);
+        audits += static_cast<std::size_t>(
+            outcome.certificate.find("batch")->find("audits")->asInt());
+        rows += batchRows;
+        EXPECT_EQ(calls.load(), audits);
+    }
+    EXPECT_GT(audits, 0u);
+    EXPECT_LT(audits, rows);
 }
 
 namespace
