@@ -773,6 +773,192 @@ TEST(ModelInvoke, ComputesGroundTruthOnlyForAuditedRows)
 namespace
 {
 
+/** A served copy of `compiled` that decides like the pinned model. */
+std::shared_ptr<service::Model>
+filterModel(const std::string &id, const core::CompiledWorkload &compiled)
+{
+    core::ThresholdResult threshold;
+    threshold.threshold = auditingThreshold;
+    return std::make_shared<service::Model>(
+        id, servedCopy(compiled),
+        std::make_unique<core::RandomFilterClassifier>(0.25, filterSeed),
+        threshold, auditingConfig(3));
+}
+
+/** The `error` text of a non-200 response ("" for a 200). */
+std::string
+errorOf(const HttpResponse &response)
+{
+    if (response.status == 200)
+        return "";
+    const Json body = bodyOf(response);
+    const Json *error = body.find("error");
+    return error && error->kind() == Json::Kind::String
+        ? error->asString()
+        : "<no error member>";
+}
+
+} // namespace
+
+TEST(InvokeContract, BodyToStatusAndError)
+{
+    // Pins what every `/invoke` body answers, in the order the checks
+    // apply: JSON syntax anywhere in the document, then an object
+    // body, a `model' string, the model lookup (404/409), non-empty
+    // `inputs', and the first bad row (width before cell kind).
+    const core::CompiledWorkload compiled = compileTiny();
+    service::ServerOptions options;
+    options.jobQueueDepth = 4;
+    service::Server server(options); // never started: jobs stay queued
+    server.models().add(filterModel("m", compiled));
+    const HttpResponse submitted = server.handle(makeRequest(
+        "POST", "/jobs", "{\"benchmark\": \"fft\"}"));
+    ASSERT_EQ(submitted.status, 202);
+    const std::string pending = bodyOf(submitted).find("id")->asString();
+
+    const std::string rows = "[[0.25,0.5],[0.75,0.1]]";
+    const std::string widthError = "row 1 must be an array of 2 numbers";
+    const std::string inputsError =
+        "`inputs' must be a non-empty array of rows";
+    struct Case
+    {
+        std::string body;
+        int status;
+        std::string error;
+    };
+    const Case cases[] = {
+        {"[1, 2]", 400, "invoke body must be a JSON object"},
+        {"\"m\"", 400, "invoke body must be a JSON object"},
+        {"{\"inputs\": " + rows + "}", 400, "`model' string is required"},
+        {"{\"model\": 7, \"inputs\": " + rows + "}", 400,
+         "`model' string is required"},
+        {"{\"model\": \"ghost\", \"inputs\": " + rows + "}", 404,
+         "no such model `ghost'"},
+        {"{\"model\": \"" + pending + "\", \"inputs\": " + rows + "}",
+         409, "model `" + pending + "' is not ready (job is queued)"},
+        // The lookup precedes the inputs checks.
+        {"{\"model\": \"ghost\", \"inputs\": 3}", 404,
+         "no such model `ghost'"},
+        {"{\"model\": \"m\"}", 400, inputsError},
+        {"{\"model\": \"m\", \"inputs\": []}", 400, inputsError},
+        {"{\"model\": \"m\", \"inputs\": {\"0\": [1, 2]}}", 400,
+         inputsError},
+        {"{\"model\": \"m\", \"inputs\": \"rows\"}", 400, inputsError},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], 3]}", 400, widthError},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], null]}", 400,
+         widthError},
+        {"{\"model\": \"m\", \"inputs\": [[1]]}", 400,
+         "row 0 must be an array of 2 numbers"},
+        {"{\"model\": \"m\", \"inputs\": [[]]}", 400,
+         "row 0 must be an array of 2 numbers"},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [1, 2, 3]]}", 400,
+         widthError},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [1, \"x\"]]}", 400,
+         "row 1 holds a non-number"},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [[1], 2]]}", 400,
+         "row 1 holds a non-number"},
+        // The first bad row wins; within a row, width before kind.
+        {"{\"model\": \"m\", \"inputs\": [[1, true], [1]]}", 400,
+         "row 0 holds a non-number"},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [1], [true, 2]]}", 400,
+         widthError},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [true]]}", 400,
+         widthError},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2], [1, 2], [null, 1]]}",
+         400, "row 2 holds a non-number"},
+        // Syntax errors anywhere win over every other check.
+        {"{\"model\": \"m\", \"model\": \"m\", \"inputs\": " + rows + "}",
+         400, "invalid JSON body: duplicate object key `model'"},
+        {"{\"model\": \"m\", \"inputs\": " + rows + "} x", 400,
+         "invalid JSON body: trailing content after document"},
+        {"{\"model\": \"m\", \"inputs\": [[0.25,0.5]", 400,
+         "invalid JSON body: expected ']'"},
+        {"{\"model\": \"m\", \"inputs\": [[0.25,", 400,
+         "invalid JSON body: unexpected end of document"},
+        {"{\"model\": \"m\"", 400, "invalid JSON body: expected '}'"},
+        {"", 400, "invalid JSON body: unexpected end of document"},
+        {"{\"model\": \"ghost\", \"inputs\": [[1]], \"x\": tru}", 400,
+         "invalid JSON body: expected `true'"},
+        {"[1, 2", 400, "invalid JSON body: expected ']'"},
+        {"{\"model\": \"m\", \"inputs\": [[1, 2,]]}", 400,
+         "invalid JSON body: malformed number"},
+        {"{model: \"m\"}", 400, "invalid JSON body: expected '\"'"},
+        // Unknown members are accepted, in any position and key order.
+        {"{\"model\": \"m\", \"inputs\": " + rows
+             + ", \"extra\": {\"a\": [1, null, \"s\"]}}",
+         200, ""},
+        {"{\"inputs\": " + rows + ", \"model\": \"m\"}", 200, ""},
+        {" {\"z\": false, \"inputs\" : [ [ 1 , -2.5e-3 ] ] ,"
+         "\"model\":\"m\" }\n",
+         200, ""},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.body);
+        const HttpResponse response =
+            server.handle(makeRequest("POST", "/invoke", c.body));
+        EXPECT_EQ(response.status, c.status);
+        EXPECT_EQ(errorOf(response), c.error);
+    }
+}
+
+TEST(InvokeContract, ResponseIsTheSortedPrettyDocument)
+{
+    // The 200 body is byte for byte the sorted-key dump(1) document of
+    // {certificate, decisions, model} that a same-seeded twin model
+    // produces from the same rows.
+    const core::CompiledWorkload compiled = compileTiny();
+    service::Server server;
+    server.models().add(filterModel("m", compiled));
+    const std::shared_ptr<service::Model> twin =
+        filterModel("m", compiled);
+
+    const axbench::InvocationTrace &source = *compiled.compileTraces[0];
+    const std::size_t width = source.inputWidth();
+    const std::size_t batches[] = {1, 300, 57};
+    std::size_t offset = 0;
+    for (const std::size_t count : batches) {
+        SCOPED_TRACE("batch of " + std::to_string(count));
+        ASSERT_LE((offset + count) * width, source.inputsFlat().size());
+        std::vector<float> flat;
+        std::string body = "{\"model\": \"m\", \"inputs\": [";
+        for (std::size_t i = 0; i < count; ++i) {
+            body += i ? ",[" : "[";
+            for (std::size_t j = 0; j < width; ++j) {
+                const float cell =
+                    source.inputsFlat()[(offset + i) * width + j];
+                flat.push_back(cell);
+                char text[32];
+                std::snprintf(text, sizeof(text), "%.9g",
+                              static_cast<double>(cell));
+                if (j)
+                    body += ',';
+                body += text;
+            }
+            body += ']';
+        }
+        body += "]}";
+        offset += count;
+
+        const HttpResponse response =
+            server.handle(makeRequest("POST", "/invoke", body));
+        ASSERT_EQ(response.status, 200) << response.body;
+
+        const service::InvokeOutcome outcome =
+            twin->invoke(flat.data(), count);
+        Json::Array decisions;
+        for (const std::uint8_t decision : outcome.decisions)
+            decisions.push_back(Json(static_cast<std::int64_t>(decision)));
+        Json::Object expected;
+        expected.emplace("model", Json("m"));
+        expected.emplace("decisions", Json(std::move(decisions)));
+        expected.emplace("certificate", outcome.certificate);
+        EXPECT_EQ(response.body, Json(std::move(expected)).dump(1) + "\n");
+    }
+}
+
+namespace
+{
+
 /** Tiny certifiable-in-seconds spec for the end-to-end tests. */
 std::string
 tinyJobSpec()
