@@ -16,6 +16,7 @@
 #include "common/env_registry.hh"
 #include "common/kernels/kernels.hh"
 #include "common/logging.hh"
+#include "service/invoke.hh"
 #include "telemetry/run_report.hh"
 #include "telemetry/telemetry.hh"
 
@@ -562,70 +563,30 @@ Server::handleJobGet(const std::string &id)
 HttpResponse
 Server::handleInvoke(const HttpRequest &request)
 {
-    const telemetry::ParseResult parsed =
-        telemetry::parseJson(request.body);
-    if (!parsed.ok)
-        return errorResponse(400, "invalid JSON body: " + parsed.error);
-    const Json &body = parsed.value;
-    if (body.kind() != Json::Kind::Object)
-        return errorResponse(400, "invoke body must be a JSON object");
+    std::shared_ptr<Model> model;
+    const InvokeRequest decoded = decodeInvoke(
+        request.body, [&](const std::string &id) -> InvokeTarget {
+            model = registry.find(id);
+            if (model)
+                return {200, "", model->inputWidth()};
+            JobSnapshot snap;
+            if (jobManager.snapshot(id, snap)
+                && snap.state != JobState::Failed) {
+                return {409,
+                        "model `" + id + "' is not ready (job is "
+                            + jobStateName(snap.state) + ")",
+                        0};
+            }
+            return {404, "no such model `" + id + "'", 0};
+        });
+    if (decoded.status != 200)
+        return errorResponse(decoded.status, decoded.error);
 
-    const Json *modelId = body.find("model");
-    if (!modelId || modelId->kind() != Json::Kind::String)
-        return errorResponse(400, "`model' string is required");
-    const std::shared_ptr<Model> model =
-        registry.find(modelId->asString());
-    if (!model) {
-        JobSnapshot snap;
-        if (jobManager.snapshot(modelId->asString(), snap)
-            && snap.state != JobState::Failed) {
-            return errorResponse(409, "model `" + modelId->asString()
-                                          + "' is not ready (job is "
-                                          + jobStateName(snap.state)
-                                          + ")");
-        }
-        return errorResponse(404, "no such model `"
-                                      + modelId->asString() + "'");
-    }
-
-    const Json *inputs = body.find("inputs");
-    if (!inputs || inputs->kind() != Json::Kind::Array
-        || inputs->asArray().empty())
-        return errorResponse(400,
-                             "`inputs' must be a non-empty array of "
-                             "rows");
-    const std::size_t width = model->inputWidth();
-    const Json::Array &rows = inputs->asArray();
-    std::vector<float> flat;
-    flat.reserve(rows.size() * width);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i].kind() != Json::Kind::Array
-            || rows[i].asArray().size() != width)
-            return errorResponse(
-                400, "row " + std::to_string(i) + " must be an array "
-                     "of " + std::to_string(width) + " numbers");
-        for (const Json &cell : rows[i].asArray()) {
-            if (cell.kind() != Json::Kind::Int
-                && cell.kind() != Json::Kind::Double)
-                return errorResponse(400,
-                                     "row " + std::to_string(i)
-                                         + " holds a non-number");
-            flat.push_back(static_cast<float>(cell.asNumber()));
-        }
-    }
-
-    const InvokeOutcome outcome =
-        model->invoke(flat.data(), rows.size());
-    Json::Array decisions;
-    decisions.reserve(outcome.decisions.size());
-    for (const std::uint8_t decision : outcome.decisions)
-        decisions.push_back(
-            Json(static_cast<std::int64_t>(decision)));
-    Json::Object out;
-    out.emplace("model", Json(model->id()));
-    out.emplace("decisions", Json(std::move(decisions)));
-    out.emplace("certificate", outcome.certificate);
-    return jsonResponse(200, Json(std::move(out)));
+    HttpResponse response;
+    response.status = 200;
+    response.body = encodeInvoke(
+        model->id(), model->invoke(decoded.cells.data(), decoded.rows));
+    return response;
 }
 
 HttpResponse

@@ -1,9 +1,11 @@
 #include "telemetry/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/contracts.hh"
 
@@ -165,8 +167,10 @@ appendDouble(std::string &out, double value)
     }
 }
 
+} // namespace
+
 void
-dumpValue(const Json &value, std::string &out, int indent, int depth)
+appendJson(std::string &out, const Json &value, int indent, int depth)
 {
     const auto newline = [&] {
         if (indent < 0)
@@ -210,7 +214,7 @@ dumpValue(const Json &value, std::string &out, int indent, int depth)
             ++depth;
             newline();
             --depth;
-            dumpValue(item, out, indent, depth + 1);
+            appendJson(out, item, indent, depth + 1);
         }
         newline();
         out.push_back(']');
@@ -235,7 +239,7 @@ dumpValue(const Json &value, std::string &out, int indent, int depth)
             out.push_back(':');
             if (indent >= 0)
                 out.push_back(' ');
-            dumpValue(member, out, indent, depth + 1);
+            appendJson(out, member, indent, depth + 1);
         }
         newline();
         out.push_back('}');
@@ -244,248 +248,338 @@ dumpValue(const Json &value, std::string &out, int indent, int depth)
     }
 }
 
-/** Recursive-descent parser over the document text. */
-struct Parser
+void
+JsonReader::skipSpace()
 {
-    const std::string &text;
-    std::size_t at = 0;
-    std::string error;
-    std::size_t errorOffset = 0;
+    while (at < text.size()
+           && (text[at] == ' ' || text[at] == '\t' || text[at] == '\n'
+               || text[at] == '\r')) {
+        ++at;
+    }
+}
 
-    bool fail(const std::string &message)
-    {
-        if (error.empty()) {
-            error = message;
-            errorOffset = at;
-        }
+bool
+JsonReader::fail(const std::string &what)
+{
+    if (!failed) {
+        failed = true;
+        message = what;
+        failedAt = at;
+    }
+    return false;
+}
+
+bool
+JsonReader::skip(char c)
+{
+    if (failed || at >= text.size() || text[at] != c)
         return false;
-    }
+    ++at;
+    return true;
+}
 
-    void skipSpace()
-    {
-        while (at < text.size()
-               && (text[at] == ' ' || text[at] == '\t'
-                   || text[at] == '\n' || text[at] == '\r')) {
-            ++at;
-        }
-    }
+bool
+JsonReader::expect(char c)
+{
+    return skip(c) || fail(std::string("expected '") + c + "'");
+}
 
-    bool consume(char c)
-    {
-        if (at < text.size() && text[at] == c) {
+bool
+JsonReader::string(std::string &out)
+{
+    out.clear();
+    if (!expect('"'))
+        return false;
+    while (at < text.size()) {
+        const char c = text[at];
+        if (c == '"') {
             ++at;
             return true;
         }
-        return fail(std::string("expected '") + c + "'");
-    }
-
-    bool literal(const char *word, Json value, Json &out)
-    {
-        const std::size_t len = std::strlen(word);
-        if (text.compare(at, len, word) != 0)
-            return fail(std::string("expected `") + word + "'");
-        at += len;
-        out = std::move(value);
-        return true;
-    }
-
-    bool parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        while (at < text.size()) {
-            const char c = text[at];
-            if (c == '"') {
-                ++at;
-                return true;
-            }
-            if (c == '\\') {
-                if (at + 1 >= text.size())
-                    return fail("dangling escape");
-                const char esc = text[at + 1];
-                at += 2;
-                switch (esc) {
-                  case '"':
-                    out.push_back('"');
-                    break;
-                  case '\\':
-                    out.push_back('\\');
-                    break;
-                  case '/':
-                    out.push_back('/');
-                    break;
-                  case 'n':
-                    out.push_back('\n');
-                    break;
-                  case 't':
-                    out.push_back('\t');
-                    break;
-                  case 'r':
-                    out.push_back('\r');
-                    break;
-                  case 'b':
-                    out.push_back('\b');
-                    break;
-                  case 'f':
-                    out.push_back('\f');
-                    break;
-                  case 'u': {
-                    if (at + 4 > text.size())
-                        return fail("truncated \\u escape");
-                    unsigned code = 0;
-                    for (int d = 0; d < 4; ++d) {
-                        const char h = text[at + static_cast<std::size_t>(d)];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape digit");
-                    }
-                    at += 4;
-                    if (code > 0x7f)
-                        return fail("non-ASCII \\u escape unsupported");
-                    out.push_back(static_cast<char>(code));
-                    break;
-                  }
-                  default:
-                    return fail("unknown escape");
-                }
-                continue;
-            }
+        if (c != '\\') {
             out.push_back(c);
             ++at;
+            continue;
         }
-        return fail("unterminated string");
-    }
-
-    bool parseNumber(Json &out)
-    {
-        const std::size_t start = at;
-        if (at < text.size() && text[at] == '-')
-            ++at;
-        bool isDouble = false;
-        while (at < text.size()) {
-            const char c = text[at];
-            if (c >= '0' && c <= '9') {
-                ++at;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+'
-                       || c == '-') {
-                if (c != '+' && c != '-')
-                    isDouble = true;
-                else if (text[at - 1] != 'e' && text[at - 1] != 'E')
-                    break;
-                ++at;
-            } else {
-                break;
+        if (at + 1 >= text.size())
+            return fail("dangling escape");
+        const char esc = text[at + 1];
+        at += 2;
+        switch (esc) {
+          case '"':
+          case '\\':
+          case '/':
+            out.push_back(esc);
+            break;
+          case 'n':
+            out.push_back('\n');
+            break;
+          case 't':
+            out.push_back('\t');
+            break;
+          case 'r':
+            out.push_back('\r');
+            break;
+          case 'b':
+            out.push_back('\b');
+            break;
+          case 'f':
+            out.push_back('\f');
+            break;
+          case 'u': {
+            if (at + 4 > text.size())
+                return fail("truncated \\u escape");
+            unsigned code = 0;
+            for (std::size_t d = 0; d < 4; ++d) {
+                const char h = text[at + d];
+                code <<= 4;
+                if (h >= '0' && h <= '9')
+                    code |= static_cast<unsigned>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    code |= static_cast<unsigned>(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    code |= static_cast<unsigned>(h - 'A' + 10);
+                else
+                    return fail("bad \\u escape digit");
             }
+            at += 4;
+            if (code > 0x7f)
+                return fail("non-ASCII \\u escape unsupported");
+            out.push_back(static_cast<char>(code));
+            break;
+          }
+          default:
+            return fail("unknown escape");
         }
-        if (at == start || (at == start + 1 && text[start] == '-'))
-            return fail("malformed number");
-        const std::string token = text.substr(start, at - start);
-        if (isDouble) {
-            out = Json(std::strtod(token.c_str(), nullptr));
-        } else {
-            out = Json(static_cast<std::int64_t>(
-                std::strtoll(token.c_str(), nullptr, 10)));
-        }
-        return true;
     }
+    return fail("unterminated string");
+}
 
-    bool parseValue(Json &out)
-    {
-        skipSpace();
-        if (at >= text.size())
-            return fail("unexpected end of document");
+namespace
+{
+
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/** True when `token` is an RFC 8259 number:
+ *  -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? */
+bool
+wellFormedNumber(std::string_view token)
+{
+    std::size_t p = 0;
+    const auto digits = [&] {
+        const std::size_t first = p;
+        while (p < token.size() && isDigit(token[p]))
+            ++p;
+        return p > first;
+    };
+    if (p < token.size() && token[p] == '-')
+        ++p;
+    if (p < token.size() && token[p] == '0')
+        ++p;
+    else if (!digits())
+        return false;
+    if (p < token.size() && token[p] == '.') {
+        ++p;
+        if (!digits())
+            return false;
+    }
+    if (p < token.size() && (token[p] == 'e' || token[p] == 'E')) {
+        ++p;
+        if (p < token.size() && (token[p] == '+' || token[p] == '-'))
+            ++p;
+        if (!digits())
+            return false;
+    }
+    return p == token.size();
+}
+
+} // namespace
+
+bool
+JsonReader::numberToken(std::size_t &start, bool &isDouble)
+{
+    if (failed)
+        return false;
+    // The token is the longest run of number bytes, with a minus sign
+    // at the start and either sign right after the exponent marker; it
+    // must then match the grammar as a whole, so `1.2.3` or `01` is one
+    // malformed token rather than a number followed by garbage.
+    start = at;
+    isDouble = false;
+    if (at < text.size() && text[at] == '-')
+        ++at;
+    while (at < text.size()) {
         const char c = text[at];
-        if (c == '{') {
-            ++at;
-            Json::Object members;
-            skipSpace();
-            if (at < text.size() && text[at] == '}') {
-                ++at;
-                out = Json(std::move(members));
-                return true;
-            }
-            for (;;) {
+        if (c == '.' || c == 'e' || c == 'E') {
+            isDouble = true;
+        } else if (c == '+' || c == '-') {
+            if (at == start || (text[at - 1] != 'e' && text[at - 1] != 'E'))
+                break;
+        } else if (!isDigit(c)) {
+            break;
+        }
+        ++at;
+    }
+    if (!wellFormedNumber(text.substr(start, at - start)))
+        return fail("malformed number");
+    return true;
+}
+
+namespace
+{
+
+/** An integer token as strtoll reads it: saturated when out of range. */
+std::int64_t
+integerValue(const char *first, const char *last)
+{
+    std::int64_t value = 0;
+    if (std::from_chars(first, last, value).ec
+        == std::errc::result_out_of_range) {
+        value = *first == '-' ? std::numeric_limits<std::int64_t>::min()
+                              : std::numeric_limits<std::int64_t>::max();
+    }
+    return value;
+}
+
+/** A fraction or exponent token as strtod reads it. */
+double
+doubleValue(const char *first, const char *last)
+{
+    double value = 0.0;
+    if (std::from_chars(first, last, value).ec
+        == std::errc::result_out_of_range) {
+        // Overflow and underflow: strtod's infinity or denormal.
+        value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    return value;
+}
+
+} // namespace
+
+bool
+JsonReader::number(Json &out)
+{
+    std::size_t start = 0;
+    bool isDouble = false;
+    if (!numberToken(start, isDouble))
+        return false;
+    const char *first = text.data() + start;
+    const char *last = text.data() + at;
+    out = isDouble ? Json(doubleValue(first, last))
+                   : Json(integerValue(first, last));
+    return true;
+}
+
+bool
+JsonReader::number(double &out)
+{
+    std::size_t start = 0;
+    bool isDouble = false;
+    if (!numberToken(start, isDouble))
+        return false;
+    const char *first = text.data() + start;
+    const char *last = text.data() + at;
+    out = isDouble ? doubleValue(first, last)
+                   : static_cast<double>(integerValue(first, last));
+    return true;
+}
+
+bool
+JsonReader::value(Json &out)
+{
+    skipSpace();
+    if (failed)
+        return false;
+    if (at >= text.size())
+        return fail("unexpected end of document");
+    const char c = text[at];
+    if (c == '{') {
+        ++at;
+        Json::Object members;
+        skipSpace();
+        if (!skip('}')) {
+            std::string key;
+            do {
                 skipSpace();
-                std::string key;
-                if (!parseString(key))
+                if (!string(key))
                     return false;
                 if (members.count(key))
                     return fail("duplicate object key `" + key + "'");
                 skipSpace();
-                if (!consume(':'))
-                    return false;
                 Json member;
-                if (!parseValue(member))
+                if (!expect(':') || !value(member))
                     return false;
                 members.emplace(std::move(key), std::move(member));
                 skipSpace();
-                if (at < text.size() && text[at] == ',') {
-                    ++at;
-                    continue;
-                }
-                break;
-            }
-            if (!consume('}'))
+            } while (skip(','));
+            if (!expect('}'))
                 return false;
-            out = Json(std::move(members));
-            return true;
         }
-        if (c == '[') {
-            ++at;
-            Json::Array items;
-            skipSpace();
-            if (at < text.size() && text[at] == ']') {
-                ++at;
-                out = Json(std::move(items));
-                return true;
-            }
-            for (;;) {
+        out = Json(std::move(members));
+        return true;
+    }
+    if (c == '[') {
+        ++at;
+        Json::Array items;
+        skipSpace();
+        if (!skip(']')) {
+            do {
                 Json item;
-                if (!parseValue(item))
+                if (!value(item))
                     return false;
                 items.push_back(std::move(item));
                 skipSpace();
-                if (at < text.size() && text[at] == ',') {
-                    ++at;
-                    continue;
-                }
-                break;
-            }
-            if (!consume(']'))
+            } while (skip(','));
+            if (!expect(']'))
                 return false;
-            out = Json(std::move(items));
-            return true;
         }
-        if (c == '"') {
-            std::string value;
-            if (!parseString(value))
-                return false;
-            out = Json(std::move(value));
-            return true;
-        }
-        if (c == 't')
-            return literal("true", Json(true), out);
-        if (c == 'f')
-            return literal("false", Json(false), out);
-        if (c == 'n')
-            return literal("null", Json(), out);
-        return parseNumber(out);
+        out = Json(std::move(items));
+        return true;
     }
-};
+    if (c == '"') {
+        std::string chars;
+        if (!string(chars))
+            return false;
+        out = Json(std::move(chars));
+        return true;
+    }
+    if (c == 't')
+        return literal("true", Json(true), out);
+    if (c == 'f')
+        return literal("false", Json(false), out);
+    if (c == 'n')
+        return literal("null", Json(), out);
+    return number(out);
+}
 
-} // namespace
+bool
+JsonReader::literal(std::string_view word, Json literalValue, Json &out)
+{
+    if (text.substr(at, word.size()) != word)
+        return fail("expected `" + std::string(word) + "'");
+    at += word.size();
+    out = std::move(literalValue);
+    return true;
+}
+
+bool
+JsonReader::finish()
+{
+    skipSpace();
+    if (at != text.size())
+        fail("trailing content after document");
+    return !failed;
+}
 
 std::string
 Json::dump(int indent) const
 {
     std::string out;
-    dumpValue(*this, out, indent, 0);
+    appendJson(out, *this, indent, 0);
     if (indent >= 0)
         out.push_back('\n');
     return out;
@@ -494,20 +588,13 @@ Json::dump(int indent) const
 ParseResult
 parseJson(const std::string &text)
 {
-    Parser parser{text, 0, {}, 0};
+    JsonReader reader(text);
     ParseResult result;
-    if (!parser.parseValue(result.value)) {
-        result.error = parser.error;
-        result.errorOffset = parser.errorOffset;
-        return result;
+    result.ok = reader.value(result.value) && reader.finish();
+    if (!result.ok) {
+        result.error = reader.error();
+        result.errorOffset = reader.errorOffset();
     }
-    parser.skipSpace();
-    if (parser.at != text.size()) {
-        result.error = "trailing content after document";
-        result.errorOffset = parser.at;
-        return result;
-    }
-    result.ok = true;
     return result;
 }
 
